@@ -19,40 +19,48 @@ from .bench import FULL_SCALE_REFERENCE, bench_attention
 from .checkpoint import CheckpointError, load_into, save_checkpoint
 from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
                    load_dataset, save_dataset)
+from .decision import VOTE_STRATEGIES
+from .fusion import ATTENTION_MODES
 from .metrics import save_metrics
 from .model import ConfigError, MultimodalClassifier, RunConfig
 from .train import TrainingDiverged, evaluate_metrics, train_model
 
 GAMMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
+# Run-config overrides: flag -> (config section, or None for the top level,
+# field, argparse options). Each subcommand registers only the flags it reads.
+OVERRIDES = {
+    "seed": (None, "seed", {"type": int}),
+    "mode": ("fusion", "mode", {"choices": ATTENTION_MODES,
+                                "help": "cross-attention mode override"}),
+    "vote": ("decision", "vote", {"choices": VOTE_STRATEGIES}),
+    "gamma": ("decision", "gamma", {"type": float}),
+    "epochs": ("trainer", "epochs", {"type": int}),
+    "data": (None, "dataset_path",
+             {"help": "dataset directory (default: generate from config)"}),
+}
+
 
 def _fmt(v):
     return f"{v:.17g}"
 
 
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{what} {path} is not valid JSON: {exc}"])
+
+
 def load_config(args) -> RunConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise DatasetIOError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config {args.config} is not valid JSON: {exc}"])
-    cfg = RunConfig.from_dict(doc)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "gamma", None) is not None:
-        cfg.decision.gamma = args.gamma
-    if getattr(args, "mode", None) is not None:
-        cfg.fusion.mode = args.mode
-    if getattr(args, "vote", None) is not None:
-        cfg.decision.vote = args.vote
-    if getattr(args, "epochs", None) is not None:
-        cfg.trainer.epochs = args.epochs
-    if getattr(args, "data", None) is not None:
-        cfg.dataset_path = args.data
+    cfg = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
+    for flag, (section, name, _options) in OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(getattr(cfg, section) if section else cfg, name, value)
     cfg.require_valid()
     return cfg
 
@@ -93,13 +101,7 @@ def _train_once(cfg, dataset, out_dir=None):
 
 def cmd_generate(args):
     if args.spec:
-        with open(args.spec) as fh:
-            payload = json.load(fh)
-        if "sentence_len" in payload:
-            payload["sentence_len"] = tuple(payload["sentence_len"])
-        if "split_ratios" in payload:
-            payload["split_ratios"] = tuple(payload["split_ratios"])
-        spec = SyntheticSpec(**payload)
+        spec = SyntheticSpec.from_dict(_read_json(args.spec, "spec"))
     else:
         spec = load_config(args).data
     problems = spec.validate()
@@ -132,33 +134,43 @@ def cmd_eval(args):
     return 0
 
 
+def _run_grid(variants, dataset, out_dir, csv_name, fieldnames):
+    """Train every (row, config, run directory) variant and write one CSV row
+    each with its accuracy and macro F1. A variant that raises keeps its
+    message in the row's ``error`` column and the remaining variants still run."""
+    rows = []
+    for row, cfg, run_dir in variants:
+        row.update(accuracy="", macro_F1="", error="")
+        try:
+            _model, _hist, report = _train_once(cfg, dataset, out_dir=run_dir)
+            row["accuracy"] = _fmt(report.accuracy)
+            row["macro_F1"] = _fmt(report.macro_f1)
+        except Exception as exc:  # row-level isolation: remaining variants still run
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"{csv_name} written with {len(rows)} rows")
+
+
 def cmd_ablate(args):
     cfg = load_config(args)
     dataset = _dataset_for(cfg)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
+    variants = []
     for ham, rm, mlf in itertools.product((True, False), repeat=3):
         sub = replace(cfg,
                       fusion=replace(cfg.fusion, use_hybrid_attention=ham,
                                      use_reg_channels=rm),
                       decision=replace(cfg.decision,
                                        gamma=cfg.decision.gamma if mlf else 0.0))
-        row = {"HAM": int(ham), "RM": int(rm), "MLF": int(mlf),
-               "accuracy": "", "macro_F1": "", "seed": cfg.seed, "error": ""}
-        try:
-            combo_dir = os.path.join(args.out, f"ham{int(ham)}_rm{int(rm)}_mlf{int(mlf)}")
-            _model, _hist, report = _train_once(sub, dataset, out_dir=combo_dir)
-            row["accuracy"] = _fmt(report.accuracy)
-            row["macro_F1"] = _fmt(report.macro_f1)
-        except Exception as exc:  # row-level isolation: remaining combos still run
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["HAM", "RM", "MLF", "accuracy",
-                                                "macro_F1", "seed", "error"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"ablation.csv written with {len(rows)} rows")
+        tag = f"ham{int(ham)}_rm{int(rm)}_mlf{int(mlf)}"
+        row = {"HAM": int(ham), "RM": int(rm), "MLF": int(mlf), "seed": cfg.seed}
+        variants.append((row, sub, os.path.join(args.out, tag)))
+    _run_grid(variants, dataset, args.out, "ablation.csv",
+              ["HAM", "RM", "MLF", "accuracy", "macro_F1", "seed", "error"])
     return 0
 
 
@@ -170,28 +182,17 @@ def cmd_gamma_sweep(args):
         raise ConfigError([f"gamma grid values outside [0, 0.5]: {bad}"])
     dataset = _dataset_for(cfg)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for gamma in grid:
-        sub = replace(cfg, decision=replace(cfg.decision, gamma=gamma))
-        row = {"gamma": _fmt(gamma), "accuracy": "", "macro_F1": "", "error": ""}
-        try:
-            _model, _hist, report = _train_once(sub, dataset)
-            row["accuracy"] = _fmt(report.accuracy)
-            row["macro_F1"] = _fmt(report.macro_f1)
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    with open(os.path.join(args.out, "gamma_sweep.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["gamma", "accuracy", "macro_F1", "error"])
-        writer.writeheader()
-        writer.writerows(rows)
+    variants = [({"gamma": _fmt(gamma)},
+                 replace(cfg, decision=replace(cfg.decision, gamma=gamma)), None)
+                for gamma in grid]
+    _run_grid(variants, dataset, args.out, "gamma_sweep.csv",
+              ["gamma", "accuracy", "macro_F1", "error"])
     with open(os.path.join(args.out, "gamma_sweep_notes.json"), "w") as fh:
         json.dump({
             "full_scale_reference_optimum": 0.1,
             "note": "0.1 was the best setting in the full-scale study; toy-scale "
                     "sweeps carry no assertion about which value wins",
         }, fh, indent=1)
-    print(f"gamma_sweep.csv written with {len(rows)} rows")
     return 0
 
 
@@ -221,14 +222,11 @@ def cmd_bench_attention(args):
 # wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, out_default):
+def _add_common(p, out_default, *overrides):
     p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=out_default, help="output directory")
-    p.add_argument("--mode", choices=["sequence", "pooled"], default=None,
-                   help="cross-attention mode override")
-    p.add_argument("--vote", choices=["confidence", "learned", "uniform"], default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    for flag in overrides:
+        p.add_argument(f"--{flag}", default=None, **OVERRIDES[flag][2])
 
 
 def build_parser():
@@ -237,6 +235,7 @@ def build_parser():
         description="image+text fusion classifier: data generation, training, "
                     "evaluation, ablations, benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = ("seed", "mode", "vote", "gamma", "data", "epochs")
 
     p = sub.add_parser("generate", help="create a synthetic dataset directory")
     _add_common(p, "dataset")
@@ -244,32 +243,25 @@ def build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a model and write artifacts")
-    _add_common(p, "run")
-    p.add_argument("--data", help="dataset directory (default: generate from config)")
-    p.add_argument("--epochs", type=int, default=None)
+    _add_common(p, "run", *run_flags)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p, "eval")
-    p.add_argument("--data", help="dataset directory")
+    _add_common(p, "eval", "mode", "vote", "data")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the module on/off grid")
-    _add_common(p, "ablation")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--epochs", type=int, default=None)
+    _add_common(p, "ablation", *run_flags)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gamma-sweep", help="train across the gamma grid")
-    _add_common(p, "gamma_sweep")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--epochs", type=int, default=None)
+    _add_common(p, "gamma_sweep", "seed", "mode", "vote", "data", "epochs")
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_gamma_sweep)
 
     p = sub.add_parser("bench-attention", help="time the fusion topologies")
-    _add_common(p, "bench")
+    _add_common(p, "bench", "seed")
     p.add_argument("--repeats", type=int, default=20)
     p.set_defaults(func=cmd_bench_attention)
 

@@ -33,6 +33,10 @@ class DatasetIOError(IOError):
     pass
 
 
+# spec fields held as tuples in memory and as JSON lists on disk
+TUPLE_FIELDS = ("sentence_len", "split_ratios")
+
+
 @dataclass
 class SyntheticSpec:
     n_classes: int = 4
@@ -47,6 +51,20 @@ class SyntheticSpec:
     noise_level: float = 0.05
     seed: int = 0
     split_ratios: tuple = (0.6, 0.1, 0.3)
+
+    @classmethod
+    def from_dict(cls, doc):
+        """Spec from its JSON form; unknown fields raise ``DatasetError``."""
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise DatasetError(f"synthetic spec: unknown fields {unknown}")
+        return cls(**{k: tuple(v) if k in TUPLE_FIELDS else v for k, v in doc.items()})
+
+    def to_dict(self):
+        doc = asdict(self)
+        for k in TUPLE_FIELDS:
+            doc[k] = list(doc[k])
+        return doc
 
     def validate(self):
         problems = []
@@ -345,11 +363,8 @@ def save_dataset(ds: Dataset, out_dir):
                             "offset": offset, "length": len(raw)})
             fh.write(raw)
             offset += len(raw)
-    spec = asdict(ds.spec)
-    spec["sentence_len"] = list(spec["sentence_len"])
-    spec["split_ratios"] = list(spec["split_ratios"])
     doc = {
-        "spec": spec,
+        "spec": ds.spec.to_dict(),
         "vocab": ds.vocab,
         "pattern_of": ds.pattern_of,
         "keyword_of": ds.keyword_of,
@@ -373,10 +388,7 @@ def load_dataset(in_dir) -> Dataset:
     except OSError as exc:
         raise DatasetIOError(f"unreadable dataset at {in_dir}: {exc}") from exc
 
-    spec_doc = dict(doc["spec"])
-    spec_doc["sentence_len"] = tuple(spec_doc["sentence_len"])
-    spec_doc["split_ratios"] = tuple(spec_doc["split_ratios"])
-    spec = SyntheticSpec(**spec_doc)
+    spec = SyntheticSpec.from_dict(doc["spec"])
     shape = tuple(doc["image_shape"])
     expected = int(np.prod(shape)) * 4
     samples = []

@@ -3,7 +3,8 @@
 The three fused features are classified by independent affine+softmax
 branches. Training minimizes (1-gamma)*interaction loss + gamma*(text loss +
 image loss); prediction fuses the three branch distributions by a convex
-vote whose weights come from one of three strategies.
+vote, weighted by each branch's confidence on the batch (the default) or
+uniformly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .layers import Linear
 from .tensor import Module, Tensor
 
 BRANCHES = ("text", "interaction", "image")
-VOTE_STRATEGIES = ("confidence", "learned", "uniform")
+VOTE_STRATEGIES = ("confidence", "uniform")
 
 LOG_FLOOR = 1e-12
 
@@ -50,9 +51,6 @@ class LossBreakdown:
 class VoteWeights:
     weights: dict            # branch name -> weight, nonnegative, sums to 1
     strategy: str
-
-    def as_array(self):
-        return np.array([self.weights[b] for b in BRANCHES])
 
 
 class BranchClassifier(Module):
@@ -107,20 +105,17 @@ def combined_loss(loss_text: Tensor, loss_interaction: Tensor, loss_image: Tenso
     return total, breakdown
 
 
-class VotingHead(Module):
-    """Convex combination of branch probability rows.
+class VotingHead:
+    """Convex combination of branch probability rows; holds no parameters.
 
     confidence: weights proportional to each branch's mean max-probability on
-    the current batch. learned: squared-then-normalized trainable scalars
-    (squaring keeps them nonnegative). uniform: 1/3 each.
+    the current batch. uniform: 1/3 each.
     """
 
     def __init__(self, strategy="confidence"):
-        super().__init__()
         if strategy not in VOTE_STRATEGIES:
             raise ValueError(f"unknown vote strategy {strategy!r}")
         self.strategy = strategy
-        self.vote_logits = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
 
     def __call__(self, preds):
         probs = {p.branch: p.probs.data for p in preds}
@@ -131,10 +126,8 @@ class VotingHead(Module):
             raise T.ShapeError(f"weighted_vote: mismatched shapes {sorted(shapes)}")
         if self.strategy == "uniform":
             raw = np.ones(3)
-        elif self.strategy == "confidence":
-            raw = np.array([probs[b].max(axis=1).mean() for b in BRANCHES])
         else:
-            raw = np.square(self.vote_logits.data)
+            raw = np.array([probs[b].max(axis=1).mean() for b in BRANCHES])
         w = raw / raw.sum()
         fused = sum(w[i] * probs[b] for i, b in enumerate(BRANCHES))
         weights = VoteWeights(weights={b: float(w[i]) for i, b in enumerate(BRANCHES)},

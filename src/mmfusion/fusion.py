@@ -11,7 +11,10 @@ sequence of the other.
 
 Two alternative fusion topologies are provided for benchmarking: merged
 attention (concatenate sequences, then self-attention) and an interaction
-encoder (cross-attention first, then self-attention).
+encoder (cross-attention first, then self-attention). The hybrid and
+interaction topologies share one bidirectional cross-attention module,
+``CrossModalAttention``; the merged and interaction topologies share one
+merged self-attention tail.
 """
 
 from __future__ import annotations
@@ -45,14 +48,6 @@ class RegularizationConfig:
         if self.beta < 0:
             problems.append(f"beta must be >= 0, got {self.beta}")
         return problems
-
-
-@dataclass
-class FusedFeatures:
-    """The three fusion outputs feeding the decision branches, equal width."""
-    o_text: Tensor
-    o_interaction: Tensor
-    o_image: Tensor
 
 
 def dropout_channel(x: Tensor, p: float, mode: str = "training",
@@ -202,13 +197,16 @@ class TextConvPool(Module):
 
 
 class CrossModalAttention(Module):
-    """Bidirectional single-block cross attention producing the interaction
-    feature: each modality's pooled vector queries the other modality.
+    """Bidirectional single-block cross attention: text queries attend over
+    image keys/values and image queries over text keys/values.
 
-    mode="sequence" (default) attends over the other modality's pre-pooled
-    sequence. mode="pooled" attends over its length-1 pooled vector, where
-    softmax over a single key is forced to one and the output reduces exactly
-    to the value projection. Projections are bias-free matrix products.
+    ``attend`` works on whole sequences and serves the interaction topology.
+    Called directly, the module produces the hybrid interaction feature: each
+    modality's pooled vector queries the other modality. mode="sequence"
+    (default) attends over the other modality's pre-pooled sequence.
+    mode="pooled" attends over its length-1 pooled vector, where softmax over
+    a single key is forced to one and the output reduces exactly to the value
+    projection. Projections are bias-free matrix products.
     """
 
     def __init__(self, d, n_heads, rng, mode="sequence", dtype=np.float32):
@@ -227,12 +225,17 @@ class CrossModalAttention(Module):
         self.k_text = Linear(d, d, rng, bias=False, dtype=dtype)
         self.v_text = Linear(d, d, rng, bias=False, dtype=dtype)
 
-    def _one_direction(self, query_vec, kv_seq, q_proj, k_proj, v_proj, key_mask):
-        B, d = query_vec.shape
-        q = q_proj(T.reshape(query_vec, (B, 1, d)))
-        out = scaled_dot_attention(q, k_proj(kv_seq), v_proj(kv_seq),
-                                   self.n_heads, key_mask)
-        return T.reshape(out, (B, d))
+    def attend(self, text_query, image_kv, image_query, text_kv, text_mask=None):
+        """Both directions over [B, L, d] sequences; ``text_mask`` marks the
+        real text keys. Returns (text queries' read of the image, image
+        queries' read of the text), shaped like the respective queries."""
+        from_image = scaled_dot_attention(
+            self.q_from_text(text_query), self.k_image(image_kv),
+            self.v_image(image_kv), self.n_heads)
+        from_text = scaled_dot_attention(
+            self.q_from_image(image_query), self.k_text(text_kv),
+            self.v_text(text_kv), self.n_heads, key_mask=text_mask)
+        return from_image, from_text
 
     def __call__(self, text_pooled, text_seq, text_mask, image_pooled, image_seq):
         if text_pooled.shape[-1] != image_pooled.shape[-1]:
@@ -241,18 +244,13 @@ class CrossModalAttention(Module):
                 f"{image_pooled.shape}")
         B, d = text_pooled.shape
         if self.mode == "pooled":
-            text_kv = T.reshape(text_pooled, (B, 1, d))
-            image_kv = T.reshape(image_pooled, (B, 1, d))
+            text_seq = T.reshape(text_pooled, (B, 1, d))
+            image_seq = T.reshape(image_pooled, (B, 1, d))
             text_mask = None
-        else:
-            text_kv = text_seq
-            image_kv = image_seq
-        image_enhanced = self._one_direction(
-            text_pooled, image_kv, self.q_from_text, self.k_image, self.v_image, None)
-        text_enhanced = self._one_direction(
-            image_pooled, text_kv, self.q_from_image, self.k_text, self.v_text,
-            text_mask)
-        return T.add(image_enhanced, text_enhanced)
+        from_image, from_text = self.attend(
+            T.reshape(text_pooled, (B, 1, d)), image_seq,
+            T.reshape(image_pooled, (B, 1, d)), text_seq, text_mask)
+        return T.add(T.reshape(from_image, (B, d)), T.reshape(from_text, (B, d)))
 
 
 class HybridAttentionFusion(Module):
@@ -281,12 +279,20 @@ class ConcatLinearFusion(Module):
         self.proj = Linear(2 * d, d, rng, dtype=dtype)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
-        B = text_ctx.shape[0]
         image_mask = np.ones(image_ctx.shape[:2], dtype=bool)
         pooled = T.concat(
             [masked_mean(text_ctx, text_mask), masked_mean(image_ctx, image_mask)],
             axis=-1)
         return self.proj(pooled)
+
+
+def _merged_self_attention(block, text_seq, text_mask, image_seq):
+    """Self-attention over the concatenated text+image sequence (every image
+    position is real), mean-pooled over the real positions."""
+    merged = T.concat([text_seq, image_seq], axis=1)
+    mask = np.concatenate(
+        [text_mask, np.ones(image_seq.shape[:2], dtype=bool)], axis=1)
+    return masked_mean(block(merged, key_mask=mask), mask)
 
 
 class MergedAttentionFusion(Module):
@@ -298,10 +304,7 @@ class MergedAttentionFusion(Module):
         self.block = TransformerBlock(d, n_heads, ffn_width, rng, dtype=dtype)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
-        merged = T.concat([text_ctx, image_ctx], axis=1)
-        mask = np.concatenate(
-            [text_mask, np.ones(image_ctx.shape[:2], dtype=bool)], axis=1)
-        return masked_mean(self.block(merged, key_mask=mask), mask)
+        return _merged_self_attention(self.block, text_ctx, text_mask, image_ctx)
 
 
 class InteractionEncoderFusion(Module):
@@ -310,26 +313,13 @@ class InteractionEncoderFusion(Module):
 
     def __init__(self, d, n_heads, ffn_width, rng, dtype=np.float32):
         super().__init__()
-        self.n_heads = n_heads
-        self.text_q = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.image_k = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.image_v = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.image_q = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.text_k = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.text_v = Linear(d, d, rng, bias=False, dtype=dtype)
+        self.cross = CrossModalAttention(d, n_heads, rng, dtype=dtype)
         self.block = TransformerBlock(d, n_heads, ffn_width, rng, dtype=dtype)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
-        text_enh = scaled_dot_attention(
-            self.text_q(text_ctx), self.image_k(image_ctx), self.image_v(image_ctx),
-            self.n_heads)
-        image_enh = scaled_dot_attention(
-            self.image_q(image_ctx), self.text_k(text_ctx), self.text_v(text_ctx),
-            self.n_heads, key_mask=text_mask)
-        merged = T.concat([text_enh, image_enh], axis=1)
-        mask = np.concatenate(
-            [text_mask, np.ones(image_ctx.shape[:2], dtype=bool)], axis=1)
-        return masked_mean(self.block(merged, key_mask=mask), mask)
+        from_image, from_text = self.cross.attend(
+            text_ctx, image_ctx, image_ctx, text_ctx, text_mask)
+        return _merged_self_attention(self.block, from_image, text_mask, from_text)
 
 
 def build_interaction_path(topology, d, n_heads, ffn_width, rng, mode="sequence",

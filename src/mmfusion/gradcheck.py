@@ -40,15 +40,3 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-12)
     return float(rel.max())
 
-
-def check_parameter_gradients(forward, params, h: float = 1e-5):
-    """Run ``finite_diff_check`` against every (name, tensor) pair in ``params``,
-    treating the remaining parameters as constants. Returns {name: max_rel_err}.
-
-    ``forward`` takes no arguments and rebuilds the scalar loss from current
-    parameter values.
-    """
-    report = {}
-    for name, p in params:
-        report[name] = finite_diff_check(lambda _t, fwd=forward: fwd(), p, h)
-    return report

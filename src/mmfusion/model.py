@@ -13,8 +13,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticSpec, make_image_batch, make_text_batch
-from .decision import (BRANCHES, BranchClassifier, LossBreakdown, VotingHead,
-                       combined_loss, cross_entropy)
+from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
+                       VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .fusion import (ATTENTION_MODES, TOPOLOGIES, ConcatLinearFusion,
                      RegularizationConfig, UnimodalFusionHead,
@@ -64,8 +64,8 @@ class DecisionSettings:
         problems = []
         if not 0.0 <= self.gamma <= 1.0:
             problems.append(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.vote not in ("confidence", "learned", "uniform"):
-            problems.append(f"vote strategy must be confidence|learned|uniform, "
+        if self.vote not in VOTE_STRATEGIES:
+            problems.append(f"vote strategy must be one of {VOTE_STRATEGIES}, "
                             f"got {self.vote!r}")
         return problems
 
@@ -135,8 +135,7 @@ class RunConfig:
 
     def to_dict(self):
         doc = asdict(self)
-        doc["data"]["sentence_len"] = list(doc["data"]["sentence_len"])
-        doc["data"]["split_ratios"] = list(doc["data"]["split_ratios"])
+        doc["data"] = self.data.to_dict()
         return doc
 
     @classmethod
@@ -151,18 +150,14 @@ class RunConfig:
             if name not in doc:
                 continue
             payload = dict(doc.pop(name))
-            if name == "data":
-                if "sentence_len" in payload:
-                    payload["sentence_len"] = tuple(payload["sentence_len"])
-                if "split_ratios" in payload:
-                    payload["split_ratios"] = tuple(payload["split_ratios"])
             known = set(section_cls().__dataclass_fields__)
             unknown = set(payload) - known
             if unknown:
                 problems.append(f"{name}: unknown fields {sorted(unknown)}")
                 for k in unknown:
                     payload.pop(k)
-            kwargs[name] = section_cls(**payload)
+            kwargs[name] = (SyntheticSpec.from_dict(payload) if name == "data"
+                            else section_cls(**payload))
         for name in ("dataset_path", "modality", "seed"):
             if name in doc:
                 kwargs[name] = doc.pop(name)
@@ -256,12 +251,6 @@ class MultimodalClassifier(Module):
             return self.vote([preds[b] for b in BRANCHES])
         branch = "image" if self.modality == "image" else "text"
         return preds[branch].probs.data, None
-
-    def loss_parameters(self):
-        """(name, tensor) pairs that receive gradients from the composite
-        loss; the vote head's scalars sit outside the loss graph."""
-        return [(n, p) for n, p in self.named_parameters()
-                if not n.startswith("vote.")]
 
     def batches_for(self, samples, vocab_size):
         text = make_text_batch(samples, vocab_size) \

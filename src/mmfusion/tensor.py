@@ -32,6 +32,10 @@ class GraphError(RuntimeError):
     """The differentiation graph was used outside its contract."""
 
 
+class NonFiniteError(ValueError):
+    """An operation received NaN or infinite input."""
+
+
 def _as_array(data, dtype=None):
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in (np.float32, np.float64):
@@ -216,7 +220,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along ``axis``; slices sum to one."""
     if not np.all(np.isfinite(x.data)):
         bad = int(np.sum(~np.isfinite(x.data)))
-        raise ValueError(f"softmax: input has {bad} non-finite entries")
+        raise NonFiniteError(f"softmax: input has {bad} non-finite entries")
     axis = axis if axis >= 0 else x.data.ndim + axis
     if not 0 <= axis < x.data.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")

@@ -8,7 +8,7 @@ from .data import labels_of
 from .decision import LossBreakdown
 from .metrics import compute_metrics
 from .optim import AdamW, param_groups
-from .tensor import backward
+from .tensor import NonFiniteError, backward
 
 
 class TrainingDiverged(RuntimeError):
@@ -20,7 +20,7 @@ class TrainingDiverged(RuntimeError):
 def build_optimizer(model):
     tc = model.cfg.trainer
     groups = param_groups(
-        model.loss_parameters(),
+        model.named_parameters(),
         {"text_encoder.": tc.lr_text, "image_encoder.": tc.lr_image},
         tc.lr_other)
     return AdamW(groups, weight_decay=tc.weight_decay)
@@ -39,10 +39,8 @@ def train_epoch(model, samples, optimizer, vocab_size, shuffle_rng, dropout_rng)
         try:
             preds = model.forward_batch(text_b, image_b, training=True, rng=dropout_rng)
             total, breakdown = model.loss(preds, labels_of(batch))
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise TrainingDiverged(optimizer.step_count + 1, str(exc)) from exc
-            raise
+        except NonFiniteError as exc:
+            raise TrainingDiverged(optimizer.step_count + 1, str(exc)) from exc
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(optimizer.step_count + 1, breakdown.total)
         model.zero_grad()

@@ -138,7 +138,7 @@ def test_criterion_1_gradient_fidelity():
     # at the central-difference noise floor. O(1) weights keep the check
     # about the composition's differentiation, which is what matters here.
     reseed = np.random.default_rng(99)
-    for _name, p in model.loss_parameters():
+    for _name, p in model.named_parameters():
         p.data = reseed.standard_normal(p.shape) * 0.4
     batch = ds.split("train")[:3]
     tb, ib = model.batches_for(batch, len(ds.vocab))
@@ -150,7 +150,7 @@ def test_criterion_1_gradient_fidelity():
         return total
 
     worst_param = ("", 0.0)
-    for pname, p in model.loss_parameters():
+    for pname, p in model.named_parameters():
         err = finite_diff_check(lambda _v, f=forward: f(), p, h=1e-5)
         if err > worst_param[1]:
             worst_param = (pname, err)
@@ -289,7 +289,7 @@ def test_criterion_5_voting_invariants():
         for b in ("text", "interaction", "image"):
             raw = rng.random((batch, 5)) + 1e-12
             preds.append(_pred(raw / raw.sum(axis=1, keepdims=True), b))
-        for strategy in ("confidence", "learned", "uniform"):
+        for strategy in ("confidence", "uniform"):
             fused, w = weighted_vote(preds, strategy)
             assert np.all(fused >= 0)
             npt.assert_allclose(fused.sum(axis=1), np.ones(batch), atol=1e-9)
@@ -310,7 +310,7 @@ def test_criterion_5_voting_invariants():
         a = members[ii.ravel()]
         b = members[jj.ravel()]
         d = members[kk.ravel()]
-        for strategy in ("confidence", "learned", "uniform"):
+        for strategy in ("confidence", "uniform"):
             for start in range(0, len(a), 200_000):
                 sl = slice(start, start + 200_000)
                 fused, _ = weighted_vote(

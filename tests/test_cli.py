@@ -126,6 +126,21 @@ class TestGenerateAndEval:
         assert main(["generate", "--spec", str(spec_path), "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "images.bin"))
 
+    def test_spec_with_unknown_field_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"bogus": 1}))
+        assert main(["generate", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bogus" in err
+
+    def test_spec_that_is_not_json_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("{not json")
+        assert main(["generate", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "ds")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_eight_rows_with_required_columns(self, tiny_config, tmp_path):
@@ -183,6 +198,37 @@ class TestGammaSweep:
     def test_out_of_range_grid_rejected(self, tiny_config, tmp_path):
         assert main(["gamma-sweep", "--config", tiny_config,
                      "--out", str(tmp_path / "s"), "--grid", "0.0", "0.7"]) == 2
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("generate", "--seed", "1"), ("generate", "--mode", "pooled"),
+        ("generate", "--vote", "uniform"), ("generate", "--gamma", "0.2"),
+        ("eval", "--seed", "1"), ("eval", "--gamma", "0.2"),
+        ("gamma-sweep", "--gamma", "0.2"),
+        ("bench-attention", "--mode", "pooled"),
+        ("bench-attention", "--vote", "uniform"),
+        ("bench-attention", "--gamma", "0.2"),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, command, flag, value,
+                                                        tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path / "x"), flag, value]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "ckpt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_learned_vote_is_rejected(self, tiny_config, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", tiny_config, "--out", str(tmp_path / "a"),
+                  "--vote", "learned"])
+        assert exc.value.code == 2
+        doc = dict(TINY, decision={"vote": "learned"})
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
 
 
 class TestBench:

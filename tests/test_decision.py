@@ -4,8 +4,7 @@ import pytest
 
 from mmfusion import tensor as T
 from mmfusion.decision import (BranchClassifier, BranchPrediction, LossBreakdown,
-                               VotingHead, combined_loss, cross_entropy,
-                               weighted_vote)
+                               combined_loss, cross_entropy, weighted_vote)
 from mmfusion.tensor import Tensor, backward
 
 
@@ -127,7 +126,7 @@ class TestWeightedVote:
     def test_identical_branches_fixed_point(self):
         probs = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
         preds = [make_pred(probs, b) for b in ("text", "interaction", "image")]
-        for strategy in ("confidence", "learned", "uniform"):
+        for strategy in ("confidence", "uniform"):
             fused, w = weighted_vote(preds, strategy)
             npt.assert_allclose(fused, probs, atol=1e-12)
             npt.assert_allclose(sum(w.weights.values()), 1.0, atol=1e-9)
@@ -150,7 +149,7 @@ class TestWeightedVote:
                 pts.append((i * step, j * step, 1 - i * step - j * step))
         pts = np.array(pts)
         arg = np.argmax(pts, axis=1)
-        for strategy in ("confidence", "learned", "uniform"):
+        for strategy in ("confidence", "uniform"):
             for c in range(3):
                 members = pts[arg == c]
                 for x in members:
@@ -172,14 +171,6 @@ class TestWeightedVote:
             fused, _ = weighted_vote(preds, "confidence")
             assert np.all(fused >= 0)
             npt.assert_allclose(fused.sum(axis=1), np.ones(4), atol=1e-9)
-
-    def test_learned_weights_squared_normalized(self):
-        head = VotingHead("learned")
-        head.vote_logits.data = np.array([1.0, 2.0, 3.0])
-        probs = np.full((1, 2), 0.5)
-        preds = [make_pred(probs, b) for b in ("text", "interaction", "image")]
-        _, w = head(preds)
-        npt.assert_allclose(w.as_array(), np.array([1, 4, 9]) / 14.0, atol=1e-12)
 
     def test_mismatched_shapes_error(self):
         preds = [make_pred(np.full((1, 2), 0.5), "text"),

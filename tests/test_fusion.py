@@ -6,7 +6,8 @@ from mmfusion import tensor as T
 from mmfusion.fusion import (ConcatLinearFusion, CrossModalAttention,
                              HybridAttentionFusion, InteractionEncoderFusion,
                              MergedAttentionFusion, RegularizationConfig,
-                             SelfAttentionPool, TextConvPool, UnimodalFusionHead,
+                             TOPOLOGIES, SelfAttentionPool, TextConvPool,
+                             UnimodalFusionHead, build_interaction_path,
                              dropout_channel, elastic_net_channel)
 from mmfusion.gradcheck import finite_diff_check
 from mmfusion.layers import scaled_dot_attention
@@ -341,10 +342,15 @@ class TestTopologies:
         cross = 6 * d * d
         assert hybrid.parameter_count() == self_pool + text_pool + cross
 
-    def test_hybrid_gradient_flows_end_to_end(self):
-        hybrid = HybridAttentionFusion(4, 2, 8, np.random.default_rng(23),
-                                       dtype=np.float64)
-        x = t64(self.rng.standard_normal((1, 4, 4)), requires_grad=True)
-        mask = np.ones((1, 4), dtype=bool)
-        img = t64(self.rng.standard_normal((1, 6, 4)))
-        assert finite_diff_check(lambda v: T.tsum(hybrid(v, mask, img)), x) < 1e-4
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_gradient_flows_end_to_end(self, topology):
+        path = build_interaction_path(topology, 4, 2, 8, np.random.default_rng(23),
+                                      dtype=np.float64)
+        x = t64(self.rng.standard_normal((2, 4, 4)), requires_grad=True)
+        # the second sentence is padded, so the text-key mask is on the path
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        img = t64(self.rng.standard_normal((2, 6, 4)))
+        # random readout weights: a plain sum of a LayerNorm'd output is constant
+        readout = t64(self.rng.standard_normal((2, 4)))
+        err = finite_diff_check(lambda v: T.tsum(T.mul(path(v, mask, img), readout)), x)
+        assert err < 1e-4

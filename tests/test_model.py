@@ -86,13 +86,6 @@ class TestAssembly:
                 npt.assert_array_equal(p.grad, np.zeros_like(p.grad))
         assert np.abs(model.interaction_classifier.proj.weight.grad).max() > 0
 
-    def test_vote_head_excluded_from_loss_parameters(self, tiny_dataset):
-        model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))
-        all_names = {n for n, _ in model.named_parameters()}
-        loss_names = {n for n, _ in model.loss_parameters()}
-        assert "vote.vote_logits" in all_names
-        assert "vote.vote_logits" not in loss_names
-
     def test_topology_variants_forward(self, tiny_dataset):
         for topology in ("merged", "interaction"):
             cfg = tiny_cfg(fusion=FusionSettings(topology=topology))
@@ -147,7 +140,7 @@ class TestTraining:
         model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))
         opt = build_optimizer(model)
         opt_names = {n for g in opt.groups for n, _ in g["params"]}
-        assert opt_names == {n for n, _ in model.loss_parameters()}
+        assert opt_names == {n for n, _ in model.named_parameters()}
 
     def test_unimodal_training_and_eval(self, tiny_dataset):
         for modality in ("image", "text"):
