@@ -8,9 +8,12 @@ raw buffers concatenated in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
+
+from .fields import is_int
 
 _LE = {"float32": "<f4", "float64": "<f8"}
 
@@ -43,7 +46,13 @@ def save_checkpoint(named_params, out_dir):
 
 
 def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into {name: ndarray}."""
+    """Read a checkpoint directory back into {name: ndarray}.
+
+    Anything that does not describe a whole checkpoint raises
+    ``CheckpointError``: an unreadable file, a manifest that is not a JSON
+    object of entries, an entry without an integer ``offset``/``length``, a
+    ``shape`` list or a known ``dtype``, or bytes that do not fit it.
+    """
     try:
         with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
@@ -51,26 +60,46 @@ def load_checkpoint(ckpt_dir):
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"unreadable checkpoint at {ckpt_dir}: {exc}") from exc
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: not a JSON object")
+    return {name: _read_entry(name, meta, blob) for name, meta in manifest.items()}
 
-    out = {}
-    for name, meta in manifest.items():
-        start, length = meta["offset"], meta["length"]
-        if start + length > len(blob):
-            raise CheckpointError(
-                f"weights.bin truncated: '{name}' needs bytes [{start}, {start + length}) "
-                f"but file has {len(blob)}")
-        arr = np.frombuffer(blob, dtype=_LE[meta["dtype"]], count=length // np.dtype(_LE[meta["dtype"]]).itemsize, offset=start)
-        expect = int(np.prod(meta["shape"])) if meta["shape"] else 1
-        if arr.size != expect:
-            raise CheckpointError(
-                f"corrupt manifest entry '{name}' at offset {start}: "
-                f"{arr.size} values != shape {meta['shape']}")
-        out[name] = arr.reshape(meta["shape"]).astype(meta["dtype"])
-    return out
+
+def _is_count(v):
+    return is_int(v) and v >= 0
+
+
+def _read_entry(name, meta, blob):
+    fields = ("offset", "length", "shape", "dtype")
+    if not isinstance(meta, dict) or any(f not in meta for f in fields):
+        raise CheckpointError(f"manifest entry '{name}' needs fields {list(fields)}")
+    start, length, shape, dtype = (meta[f] for f in fields)
+    if not isinstance(dtype, str) or dtype not in _LE:
+        raise CheckpointError(f"manifest entry '{name}': unknown dtype {dtype!r}")
+    if not (_is_count(start) and _is_count(length) and isinstance(shape, list)
+            and all(_is_count(n) for n in shape)):
+        raise CheckpointError(
+            f"corrupt manifest entry '{name}': offset {start!r}, length {length!r}, "
+            f"shape {shape!r}")
+    if start + length > len(blob):
+        raise CheckpointError(
+            f"weights.bin truncated: '{name}' needs bytes [{start}, {start + length}) "
+            f"but file has {len(blob)}")
+    itemsize = np.dtype(_LE[dtype]).itemsize
+    expect = math.prod(shape)
+    if length != expect * itemsize:
+        raise CheckpointError(
+            f"corrupt manifest entry '{name}' at offset {start}: {length} bytes != "
+            f"{expect} values of shape {shape}")
+    arr = np.frombuffer(blob, dtype=_LE[dtype], count=expect, offset=start)
+    return arr.reshape(shape).astype(dtype)
 
 
 def load_into(module, ckpt_dir):
-    """Assign checkpoint arrays onto a module's parameters, validating shapes."""
+    """Assign checkpoint arrays onto a module's parameters, validating shapes
+    and dtypes (a checkpoint never changes a parameter's dtype)."""
     weights = load_checkpoint(ckpt_dir)
     for name, p in module.named_parameters():
         if name not in weights:
@@ -79,5 +108,8 @@ def load_into(module, ckpt_dir):
         if tuple(arr.shape) != tuple(p.shape):
             raise CheckpointError(
                 f"parameter '{name}': checkpoint shape {arr.shape} != model {p.shape}")
+        if arr.dtype != p.data.dtype:
+            raise CheckpointError(
+                f"parameter '{name}': checkpoint dtype {arr.dtype} != model {p.data.dtype}")
         p.data = arr
     return module

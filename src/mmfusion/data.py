@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .encoders import PAD_ID, UNK_ID, ImageBatch, TextBatch
+from .fields import is_int, is_real, type_problems
 
 _WS = re.compile(r"\s+")
 
@@ -55,10 +56,13 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, doc):
         """Spec from its JSON form; unknown fields raise ``DatasetError``."""
+        if not isinstance(doc, dict):
+            raise DatasetError(f"synthetic spec must be a JSON object, got {doc!r}")
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise DatasetError(f"synthetic spec: unknown fields {unknown}")
-        return cls(**{k: tuple(v) if k in TUPLE_FIELDS else v for k, v in doc.items()})
+        return cls(**{k: tuple(v) if k in TUPLE_FIELDS and isinstance(v, list) else v
+                      for k, v in doc.items()})
 
     def to_dict(self):
         doc = asdict(self)
@@ -67,12 +71,24 @@ class SyntheticSpec:
         return doc
 
     def validate(self):
-        problems = []
+        problems = type_problems(self)
+        for name, size, check, what in (("sentence_len", 2, is_int, "integers"),
+                                        ("split_ratios", 3, is_real, "numbers")):
+            v = getattr(self, name)
+            if not (isinstance(v, (tuple, list)) and len(v) == size and all(map(check, v))):
+                problems.append(f"{name} must be a list of {size} {what}, got {v!r}")
+        if problems:
+            return problems
+        for name in ("image_size", "patch_size", "channels"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.n_classes < 2:
             problems.append(f"n_classes must be >= 2, got {self.n_classes}")
         if self.samples_per_class < 1:
             problems.append("samples_per_class must be >= 1")
-        if self.image_size % self.patch_size:
+        if self.patch_size >= 1 and self.image_size % self.patch_size:
             problems.append(
                 f"patch_size {self.patch_size} does not divide image_size {self.image_size}")
         for name in ("image_informativeness", "text_informativeness", "noise_level"):
@@ -208,8 +224,8 @@ def render_pattern(pattern_id, size):
             ).astype(np.float64)
 
 
-def _render_sample_image(pattern_id, spec, rng):
-    base = render_pattern(pattern_id, spec.image_size)
+def _render_sample_image(base, spec, rng):
+    """One noisy sample of a class whose binary pattern is ``base``."""
     fg = rng.uniform(0.75, 1.0)
     bg = rng.uniform(0.05, 0.2)
     img = bg + (fg - bg) * base
@@ -269,9 +285,11 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     samples = []
     for label in range(n):
+        # the pattern depends only on the class and draws no randomness
+        base = render_pattern(pattern_groups[label], spec.image_size)
         for i in range(per):
             rng = np.random.default_rng([spec.seed, label, i])
-            image = _render_sample_image(pattern_groups[label], spec, rng)
+            image = _render_sample_image(base, spec, rng)
             tokens = _sample_tokens(keyword_of[label], spec, filler_lo,
                                     spec.vocab_size, rng)
             split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .fields import type_problems
 from .layers import Linear, TransformerBlock, trunc_normal
 from .tensor import Module, ModuleList, Tensor
 
@@ -31,8 +32,10 @@ class EncoderConfig:
     max_len: int = 64
 
     def validate(self):
-        problems = []
-        if self.d_model % self.n_heads:
+        problems = type_problems(self)
+        if problems:
+            return problems
+        if self.n_heads >= 1 and self.d_model % self.n_heads:
             problems.append(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("d_model", "n_heads", "n_layers", "ffn_width", "embedding_dim", "max_len"):
@@ -179,16 +182,22 @@ class TextEncoder(Module):
 
 
 def masked_mean(context: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """Mean of [B, L, d] over positions where pad_mask is True."""
-    B, L, d = context.shape
+    """Mean of [B, L, d] over positions where pad_mask is True, as one graph
+    node."""
+    if context.data.ndim != 3:
+        raise T.ShapeError(f"masked_mean: expects [B, L, d], got {context.shape}")
     counts = pad_mask.sum(axis=1)
     if np.any(counts == 0):
         raise T.ShapeError("masked_mean: a row has no real tokens")
     dtype = context.data.dtype
-    mask3 = np.repeat(pad_mask[:, :, None].astype(dtype), d, axis=2)
-    summed = T.tsum(T.mul(context, Tensor(mask3)), axis=1)       # [B, d]
-    inv = np.repeat((1.0 / counts)[:, None].astype(dtype), d, axis=1)
-    return T.mul(summed, Tensor(inv))
+    keep = pad_mask[:, :, None].astype(dtype)                   # [B, L, 1]
+    inv = (1.0 / counts)[:, None].astype(dtype)                 # [B, 1]
+    out = (context.data * keep).sum(axis=1) * inv               # [B, d]
+
+    def backward_fn(g):
+        return ((g * inv)[:, None, :] * keep,)
+
+    return T._result(out, (context,), backward_fn)
 
 
 class ImageEncoder(Module):

@@ -23,23 +23,13 @@ class Linear(Module):
 
     def __init__(self, d_in, d_out, rng, bias=True, dtype=np.float32, std=None):
         super().__init__()
-        self.d_in = d_in
-        self.d_out = d_out
         std = 1.0 / np.sqrt(d_in) if std is None else std
         self.weight = Tensor(trunc_normal(rng, (d_in, d_out), std=std, dtype=dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d_in:
-            raise T.ShapeError(f"Linear: input width {x.shape[-1]} != {self.d_in}")
-        flat = x if x.data.ndim == 2 else T.reshape(x, (-1, self.d_in))
-        out = T.matmul(flat, self.weight)
-        if x.data.ndim != 2:
-            out = T.reshape(out, tuple(x.shape[:-1]) + (self.d_out,))
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        return out
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -53,50 +43,21 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[B, L, d] -> [B*h, L, d/h]."""
-    B, L, d = x.shape
-    dh = d // n_heads
-    x = T.reshape(x, (B, L, n_heads, dh))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (B * n_heads, L, dh))
-
-
-def merge_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[B*h, L, d/h] -> [B, L, d]."""
-    Bh, L, dh = x.shape
-    B = Bh // n_heads
-    x = T.reshape(x, (B, n_heads, L, dh))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (B, L, n_heads * dh))
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          key_mask: np.ndarray | None = None,
                          return_weights: bool = False):
-    """Multi-head scaled dot-product attention over already-projected q/k/v.
+    """Multi-head scaled dot-product attention over already-projected q/k/v,
+    one fused graph node (``tensor.attention``).
 
     q: [B, Lq, d], k/v: [B, Lk, d]. ``key_mask`` is a boolean [B, Lk] array,
     True where the key is real; masked keys get -1e9 logits so their
     attention weight underflows to zero. With ``return_weights`` the
-    row-stochastic weight tensor [B*h, Lq, Lk] is returned alongside.
+    row-stochastic weight tensor [B*h, Lq, Lk] is returned alongside, as a
+    constant: no gradient flows back through it.
     """
-    B, Lq, d = q.shape
-    if d % n_heads:
-        raise T.ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    Lk = k.shape[1]
-    qh = split_heads(q, n_heads)
-    kh = split_heads(k, n_heads)
-    vh = split_heads(v, n_heads)
-    scores = T.scale(T.bmm(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(d // n_heads))
-    if key_mask is not None:
-        bias = np.where(key_mask[:, None, None, :], 0.0, -1e9)
-        bias = np.broadcast_to(bias, (B, n_heads, Lq, Lk)).reshape(B * n_heads, Lq, Lk)
-        scores = T.add(scores, Tensor(bias.astype(scores.data.dtype)))
-    weights = T.softmax(scores, axis=-1)
-    out = merge_heads(T.bmm(weights, vh), n_heads)
+    out, weights = T.attention(q, k, v, n_heads, key_mask)
     if return_weights:
-        return out, weights
+        return out, Tensor(weights)
     return out
 
 

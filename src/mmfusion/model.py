@@ -16,6 +16,7 @@ from .data import SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
+from .fields import type_problems
 from .fusion import (ATTENTION_MODES, TOPOLOGIES, ConcatLinearFusion,
                      RegularizationConfig, UnimodalFusionHead,
                      build_interaction_path, dropout_channel, elastic_net_channel)
@@ -42,6 +43,9 @@ class FusionSettings:
     use_reg_channels: bool = True        # off -> both channels pass through
 
     def validate(self, d_model):
+        problems = type_problems(self)
+        if problems:
+            return problems
         problems = RegularizationConfig(self.p, self.alpha, self.beta).validate()
         if self.mode not in ATTENTION_MODES:
             problems.append(f"attention mode must be one of {ATTENTION_MODES}, "
@@ -61,7 +65,9 @@ class DecisionSettings:
     vote: str = "confidence"
 
     def validate(self):
-        problems = []
+        problems = type_problems(self)
+        if problems:
+            return problems
         if not 0.0 <= self.gamma <= 1.0:
             problems.append(f"gamma must be in [0, 1], got {self.gamma}")
         if self.vote not in VOTE_STRATEGIES:
@@ -80,7 +86,9 @@ class TrainerSettings:
     weight_decay: float = 5e-4
 
     def validate(self):
-        problems = []
+        problems = type_problems(self)
+        if problems:
+            return problems
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -121,11 +129,13 @@ class RunConfig:
         problems += [f"trainer: {p}" for p in self.trainer.validate()]
         if self.dataset_path is None:
             problems += [f"data: {p}" for p in self.data.validate()]
-        if self.modality not in MODALITIES:
-            problems.append(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        return problems
+        own = type_problems(self)
+        if not own:
+            if self.modality not in MODALITIES:
+                own.append(f"modality must be one of {MODALITIES}, got {self.modality!r}")
+            if self.seed < 0:
+                own.append(f"seed must be >= 0, got {self.seed}")
+        return problems + own
 
     def require_valid(self):
         problems = self.validate()
@@ -140,6 +150,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError([f"a run config must be a JSON object, got {doc!r}"])
         doc = dict(doc)
         problems = []
         kwargs = {}
@@ -149,7 +161,11 @@ class RunConfig:
         for name, section_cls in sections.items():
             if name not in doc:
                 continue
-            payload = dict(doc.pop(name))
+            payload = doc.pop(name)
+            if not isinstance(payload, dict):
+                problems.append(f"{name}: must be a JSON object, got {payload!r}")
+                continue
+            payload = dict(payload)
             known = set(section_cls().__dataclass_fields__)
             unknown = set(payload) - known
             if unknown:

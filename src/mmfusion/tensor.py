@@ -3,7 +3,10 @@
 Every operation builds a node in an implicit computation graph (tensors keep
 references to their parents plus a closure that maps the upstream gradient to
 parent gradients). ``backward`` walks the graph once in reverse topological
-order and accumulates gradients on every tensor that requires them.
+order and accumulates gradients on the graph's leaves only: tensors created
+with ``requires_grad=True`` (parameters and inputs). Interior results never
+hold a ``.grad``. Inside ``with no_grad():`` operations record no parents and
+no closure, so inference builds no graph at all.
 
 Conventions kept deliberately narrow so the gradient code stays auditable:
 
@@ -11,13 +14,24 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 * the only broadcasting allowed is bias-style: ``add(a, b)`` accepts a ``b``
   whose shape equals a trailing slice of ``a.shape``;
 * gradients accumulate across ``backward`` calls -- callers zero them.
+
+``linear`` and ``attention`` are fused composites with hand-written backward
+passes; each computes exactly the arithmetic of the primitive ops it stands
+for (reshape/matmul/add and head split/bmm/mask/softmax/bmm/head merge), so
+results are bit-identical to the unfused graph.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 DTYPES = ("float32", "float64")
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# False inside ``no_grad``: results are then constants with no graph edges.
+_grad_enabled = True
 
 
 class ShapeError(ValueError):
@@ -96,12 +110,32 @@ class Tensor:
     __rmul__ = __mul__
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Context in which operations build no graph: every result is a
+    constant, so nothing is kept alive for a backward pass. Nests, and
+    restores the previous mode on exit, also when the body raises."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data, parents, backward_fn):
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    """Wrap an op's output; ``data`` that is already a float32/float64 array
+    is taken as is, anything else goes through the usual conversion."""
+    out = Tensor.__new__(Tensor)
+    if not isinstance(data, np.ndarray) or data.dtype not in _FLOAT_DTYPES:
+        data = _as_array(data)
+    out.data = data
+    out.grad = None
+    tracked = _grad_enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = tracked
+    out._parents = tuple(parents) if tracked else ()
+    out._backward = backward_fn if tracked else None
     return out
 
 
@@ -216,21 +250,32 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
 # normalizers
 # ---------------------------------------------------------------------------
 
+def _softmax_forward(x, axis, where):
+    """Max-stabilized softmax of array ``x`` along a non-negative ``axis``;
+    ``where`` names the input in the non-finite error."""
+    if not np.all(np.isfinite(x)):
+        bad = int(np.sum(~np.isfinite(x)))
+        raise NonFiniteError(f"{where} has {bad} non-finite entries")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(y, g, axis):
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along ``axis``; slices sum to one."""
-    if not np.all(np.isfinite(x.data)):
-        bad = int(np.sum(~np.isfinite(x.data)))
-        raise NonFiniteError(f"softmax: input has {bad} non-finite entries")
-    axis = axis if axis >= 0 else x.data.ndim + axis
-    if not 0 <= axis < x.data.ndim:
+    ndim = x.data.ndim
+    if not -ndim <= axis < ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    axis = axis % ndim
+    y = _softmax_forward(x.data, axis, "softmax: input")
 
     def backward_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_backward(y, g, axis),)
 
     return _result(y, (x,), backward_fn)
 
@@ -261,6 +306,99 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _result(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused composites
+# ---------------------------------------------------------------------------
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map over the last axis: x @ W (+ b), with W stored [d_in, d_out].
+
+    Leading axes of ``x`` are flattened into one [n, d_in] matrix product,
+    the same arithmetic as reshape -> matmul -> reshape -> add, in one node.
+    """
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    _check_same_dtype("linear", *parents)
+    if weight.data.ndim != 2:
+        raise ShapeError(f"linear: weight must be 2-D [d_in, d_out], got {weight.shape}")
+    d_in, d_out = weight.shape
+    if x.data.ndim == 0 or x.shape[-1] != d_in:
+        raise ShapeError(f"linear: input width of {x.shape} != d_in {d_in}")
+    if bias is not None and bias.shape != (d_out,):
+        raise ShapeError(f"linear: bias must be shape ({d_out},), got {bias.shape}")
+    flat_in = x.data.ndim != 2
+    rows = x.data.reshape(-1, d_in) if flat_in else x.data
+    out = rows @ weight.data
+    if flat_in:
+        out = out.reshape(x.shape[:-1] + (d_out,))
+    if bias is not None:
+        out = out + bias.data
+
+    def backward_fn(g):
+        g_rows = g.reshape(-1, d_out) if flat_in else g
+        gx = None
+        if x.requires_grad:
+            gx = g_rows @ weight.data.T
+            if flat_in:
+                gx = gx.reshape(x.shape)
+        grads = (gx, rows.T @ g_rows)
+        if bias is None:
+            return grads
+        return grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
+
+    return _result(out, parents, backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None):
+    """Multi-head scaled dot-product attention in one node.
+
+    q: [B, Lq, d], k/v: [B, Lk, d], already projected. Heads are split to
+    [B*h, L, d/h], logits are scaled by 1/sqrt(d/h), keys where the boolean
+    [B, Lk] ``key_mask`` is False get -1e9 added, rows are softmaxed and the
+    weighted values are merged back to [B, Lq, d].
+
+    Returns (output tensor, softmax weights as a [B*h, Lq, Lk] array).
+    """
+    _check_same_dtype("attention", q, k, v)
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape:
+        raise ShapeError(
+            f"attention: expects q [B,Lq,d] and k, v [B,Lk,d], got {q.shape}, "
+            f"{k.shape}, {v.shape}")
+    B, Lq, d = q.shape
+    Lk = k.shape[1]
+    if k.shape[0] != B or k.shape[2] != d:
+        raise ShapeError(f"attention: query {q.shape} and key {k.shape} disagree")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
+    h, dh = n_heads, d // n_heads
+    # a Python float: a numpy float64 scalar would promote float32 logits
+    scale = float(1.0 / np.sqrt(dh))
+
+    def split(a, L):      # [B, L, d] -> [B*h, L, dh]
+        return a.reshape(B, L, h, dh).transpose(0, 2, 1, 3).reshape(B * h, L, dh)
+
+    def merge(a, L):      # [B*h, L, dh] -> [B, L, d]
+        return a.reshape(B, h, L, dh).transpose(0, 2, 1, 3).reshape(B, L, d)
+
+    qh, kh, vh = split(q.data, Lq), split(k.data, Lk), split(v.data, Lk)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask)
+        if key_mask.shape != (B, Lk):
+            raise ShapeError(f"attention: key_mask shape {key_mask.shape} != ({B}, {Lk})")
+        gate = np.where(key_mask[:, None, None, :], 0.0, -1e9).astype(scores.dtype)
+        scores = (scores.reshape(B, h, Lq, Lk) + gate).reshape(B * h, Lq, Lk)
+    y = _softmax_forward(scores, 2, "attention: softmax input")
+
+    def backward_fn(g):
+        g_heads = split(g, Lq)
+        gs = _softmax_backward(y, g_heads @ vh.transpose(0, 2, 1), 2) * scale
+        gv = y.transpose(0, 2, 1) @ g_heads
+        gk = (qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        return merge(gs @ kh, Lq), merge(gk, Lk), merge(gv, Lk)
+
+    return _result(merge(y @ vh, Lq), (q, k, v), backward_fn), y
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +602,13 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor, grad=None) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor
-    with ``requires_grad=True``.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable leaf: a
+    tensor with ``requires_grad=True`` that no op produced (parameters and
+    inputs).
 
-    Repeated calls add up; callers zero gradients between steps.
+    Interior results pass their gradient on to their parents and keep none;
+    their ``.grad`` stays None. Repeated calls add up on the leaves; callers
+    zero gradients between steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -497,8 +638,8 @@ def backward(loss: Tensor, grad=None) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:

@@ -8,7 +8,7 @@ from .data import labels_of
 from .decision import LossBreakdown
 from .metrics import compute_metrics
 from .optim import AdamW, param_groups
-from .tensor import NonFiniteError, backward
+from .tensor import NonFiniteError, backward, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -74,12 +74,14 @@ def train_model(model, dataset, log=None):
 
 
 def evaluate(model, samples, vocab_size, batch_size=32):
-    """Fused probabilities over an evaluation split (inference mode)."""
+    """Fused probabilities over an evaluation split (inference mode: the
+    forward pass runs under ``no_grad`` and builds no graph)."""
     probs = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         text_b, image_b = model.batches_for(chunk, vocab_size)
-        preds = model.forward_batch(text_b, image_b, training=False)
+        with no_grad():
+            preds = model.forward_batch(text_b, image_b, training=False)
         fused, _ = model.predict_probs(preds)
         probs.append(fused)
     return np.concatenate(probs, axis=0), labels_of(samples)

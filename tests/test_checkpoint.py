@@ -73,3 +73,30 @@ def test_load_into_rejects_shape_mismatch(tmp_path):
 def test_missing_checkpoint_dir_raises_io_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(os.path.join(tmp_path, "nope"))
+
+
+@pytest.mark.parametrize("manifest", [
+    "{not json",
+    "[]",
+    json.dumps({"w": {"offset": 0, "length": 48, "shape": [3, 4]}}),
+    json.dumps({"w": {"offset": "0", "length": 48, "shape": [3, 4], "dtype": "float32"}}),
+    json.dumps({"w": {"offset": 0, "length": 48, "shape": 12, "dtype": "float32"}}),
+    json.dumps({"w": {"offset": 0, "length": 48, "shape": [3, 4], "dtype": "int8"}}),
+    json.dumps({"w": 7}),
+], ids=["invalid_json", "not_an_object", "no_dtype", "string_offset", "int_shape",
+        "unknown_dtype", "entry_not_an_object"])
+def test_malformed_manifest_raises_checkpoint_error(tmp_path, manifest):
+    save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path)
+
+
+def test_load_into_rejects_dtype_mismatch(tmp_path):
+    m = TinyModule()
+    m.b.data = m.b.data.astype(np.float32)
+    save_checkpoint(list(m.named_parameters()), tmp_path)
+    target = TinyModule(seed=9)
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_into(target, tmp_path)
+    assert target.b.data.dtype == np.float64

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -140,6 +141,74 @@ class TestGenerateAndEval:
         assert main(["generate", "--spec", str(spec_path),
                      "--out", str(tmp_path / "ds")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("section, fields, needle", [
+        ("trainer", {"epochs": "x"}, "epochs must be an integer"),
+        ("trainer", {"lr_text": [1]}, "lr_text must be a number"),
+        ("fusion", {"use_reg_channels": 1}, "use_reg_channels must be true or false"),
+        ("decision", {"gamma": "0.1"}, "gamma must be a number"),
+        ("text_encoder", {"n_heads": 0}, "n_heads must be >= 1"),
+        ("data", {"sentence_len": 5}, "sentence_len must be a list"),
+        ("data", {"patch_size": 0}, "patch_size must be >= 1"),
+    ])
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, section, fields, needle):
+        doc = json.loads(json.dumps(TINY))
+        doc.setdefault(section, {}).update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and needle in err
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"trainer": 5}])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+
+def _drop(field):
+    def mutate(manifest):
+        for entry in manifest.values():
+            del entry[field]
+        return json.dumps(manifest)
+    return mutate
+
+
+def _unknown_dtype(manifest):
+    next(iter(manifest.values()))["dtype"] = "float16"
+    return json.dumps(manifest)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    assert main(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    return str(config), root / "run" / "checkpoint"
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("mutate", [
+        lambda m: json.dumps(m)[:len(json.dumps(m)) // 2],
+        lambda m: "[1, 2]",
+        _drop("offset"), _drop("length"), _drop("shape"), _drop("dtype"),
+        _unknown_dtype,
+    ], ids=["partial", "not_an_object", "no_offset", "no_length", "no_shape",
+            "no_dtype", "unknown_dtype"])
+    def test_eval_exits_4(self, trained_checkpoint, tmp_path, capsys, mutate):
+        config, good = trained_checkpoint
+        bad = tmp_path / "checkpoint"
+        shutil.copytree(good, bad)
+        manifest = json.loads((good / "manifest.json").read_text())
+        (bad / "manifest.json").write_text(mutate(manifest))
+        assert main(["eval", "--config", config, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 4
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -169,3 +169,40 @@ def test_text_encoder_gradient_flows_to_embeddings():
     assert enc.word_emb.grad is not None
     # pad row never contributes
     npt.assert_array_equal(enc.word_emb.grad[0], np.zeros(8))
+
+
+def masked_mean_composite(context, pad_mask):
+    """The primitive graph the fused ``masked_mean`` node replaces: masks
+    repeated out to [B, L, d], mul, tsum, mul."""
+    B, L, d = context.shape
+    dtype = context.data.dtype
+    mask3 = np.repeat(pad_mask[:, :, None].astype(dtype), d, axis=2)
+    summed = T.tsum(T.mul(context, Tensor(mask3)), axis=1)
+    inv = np.repeat((1.0 / pad_mask.sum(axis=1))[:, None].astype(dtype), d, axis=1)
+    return T.mul(summed, Tensor(inv))
+
+
+class TestMaskedMean:
+    MASK = np.array([[True, True, False, False], [True, True, True, True]])
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        readout = Tensor(rng.standard_normal((2, 3)))
+        err = finite_diff_check(
+            lambda v: T.tsum(T.mul(masked_mean(v, self.MASK), readout)), x)
+        assert err < 1e-6
+
+    def test_bit_identical_to_primitive_graph(self):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((2, 4, 3)).astype(np.float32), requires_grad=True)
+        readout = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+        grads = []
+        for fn in (masked_mean, masked_mean_composite):
+            x.grad = None
+            out = fn(x, self.MASK)
+            backward(T.tsum(T.mul(out, readout)))
+            grads.append((out.data, x.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+        assert grads[0][1][0, 2:].max() == 0.0

@@ -293,13 +293,10 @@ class TestCrossModalAttention:
         base = logits(q[0], k[0])
         scaled = logits(c * q[0], c * k[0])
         npt.assert_allclose(scaled, c * c * base, atol=1e-12)
-        # and the graph computes the same logits as the direct recomputation
-        from mmfusion.layers import split_heads
-        qh = split_heads(t64(q), heads)
-        kh = split_heads(t64(k), heads)
-        graph_logits = T.scale(T.bmm(qh, T.transpose(kh, (0, 2, 1))),
-                               1.0 / np.sqrt(d // heads))
-        npt.assert_allclose(graph_logits.data, base, atol=1e-12)
+        # and the graph's attention weights are the softmax of those logits
+        _, w = scaled_dot_attention(t64(q), t64(k), t64(k), heads, return_weights=True)
+        e = np.exp(base - base.max(axis=-1, keepdims=True))
+        npt.assert_allclose(w.data, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
 
     def test_width_mismatch_errors(self):
         attn = self.make("pooled")

@@ -6,8 +6,8 @@ from mmfusion.data import SyntheticSpec, generate, labels_of
 from mmfusion.model import (ConfigError, DecisionSettings, EncoderConfig,
                             FusionSettings, MultimodalClassifier, RunConfig,
                             TrainerSettings)
-from mmfusion.train import (TrainingDiverged, build_optimizer, evaluate_metrics,
-                            train_model)
+from mmfusion.train import (TrainingDiverged, build_optimizer, evaluate,
+                            evaluate_metrics, train_model)
 from mmfusion.tensor import backward
 
 
@@ -151,3 +151,46 @@ class TestTraining:
             report = evaluate_metrics(model, tiny_dataset.split("test"),
                                       len(tiny_dataset.vocab), 3)
             assert 0.0 <= report.accuracy <= 1.0
+
+
+def interior_nodes(loss):
+    """Op results reachable from ``loss`` (parameters and inputs excluded)."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t._backward is not None
+            stack.extend(t._parents)
+    return count
+
+
+class TestGraph:
+    def test_default_training_step_graph(self):
+        cfg = RunConfig()
+        ds = generate(cfg.data)
+        model = MultimodalClassifier(cfg, vocab_size=len(ds.vocab))
+        batch = ds.split("train")[:cfg.trainer.batch_size]
+        tb, ib = model.batches_for(batch, len(ds.vocab))
+        preds = model.forward_batch(tb, ib, training=True, rng=np.random.default_rng(0))
+        total, _ = model.loss(preds, labels_of(batch))
+        # linear, attention and masked_mean each record one node
+        assert interior_nodes(total) == 136
+        backward(total)
+        params = list(model.parameters())
+        assert all(p.grad is not None for p in params)
+        assert sum(p.grad.size for p in params) == model.parameter_count()
+
+    def test_evaluate_matches_grad_mode_forward_and_builds_no_graph(self, tiny_dataset):
+        model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))
+        samples = tiny_dataset.split("test")
+        seen = []
+        model.predict_probs = lambda preds: (
+            seen.append(preds), MultimodalClassifier.predict_probs(model, preds))[1]
+        probs, _ = evaluate(model, samples, len(tiny_dataset.vocab), batch_size=len(samples))
+        assert all(not p.probs.requires_grad and p.probs._backward is None
+                   for p in seen[0].values())
+        tb, ib = model.batches_for(samples, len(tiny_dataset.vocab))
+        preds = model.forward_batch(tb, ib)
+        assert all(p.probs.requires_grad for p in preds.values())
+        assert np.array_equal(probs, MultimodalClassifier.predict_probs(model, preds)[0])

@@ -424,3 +424,198 @@ class TestFiniteDiffCheck:
         x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(TypeError):
             finite_diff_check(T.tsum, x)
+
+
+# ---------------------------------------------------------------------------
+# fused composites
+# ---------------------------------------------------------------------------
+
+def linear_composite(x, w, b):
+    """reshape -> matmul -> reshape -> add from primitive ops: the graph the
+    fused ``linear`` node replaces."""
+    d_in, d_out = w.shape
+    flat = x if x.data.ndim == 2 else T.reshape(x, (-1, d_in))
+    out = T.matmul(flat, w)
+    if x.data.ndim != 2:
+        out = T.reshape(out, tuple(x.shape[:-1]) + (d_out,))
+    return out if b is None else T.add(out, b)
+
+
+def attention_composite(q, k, v, n_heads, key_mask=None):
+    """Head split, scaled bmm scores, mask, softmax, bmm and head merge from
+    primitive ops: the graph the fused ``attention`` node replaces."""
+    B, Lq, d = q.shape
+    Lk = k.shape[1]
+    dh = d // n_heads
+
+    def split(x, L):
+        x = T.transpose(T.reshape(x, (B, L, n_heads, dh)), (0, 2, 1, 3))
+        return T.reshape(x, (B * n_heads, L, dh))
+
+    scores = T.scale(T.bmm(split(q, Lq), T.transpose(split(k, Lk), (0, 2, 1))),
+                     1.0 / np.sqrt(dh))
+    if key_mask is not None:
+        bias = np.where(key_mask[:, None, None, :], 0.0, -1e9)
+        bias = np.broadcast_to(bias, (B, n_heads, Lq, Lk)).reshape(B * n_heads, Lq, Lk)
+        scores = T.add(scores, Tensor(bias.astype(scores.data.dtype)))
+    out = T.bmm(T.softmax(scores, axis=-1), split(v, Lk))
+    out = T.transpose(T.reshape(out, (B, n_heads, Lq, dh)), (0, 2, 1, 3))
+    return T.reshape(out, (B, Lq, d))
+
+
+def grads_of(build, tensors, readout):
+    """Gradients of sum(build() * readout) with respect to ``tensors``."""
+    for t in tensors:
+        t.grad = None
+    backward(T.tsum(T.mul(build(), Tensor(readout))))
+    return [t.grad for t in tensors]
+
+
+class TestFusedLinear:
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_gradients_match_finite_differences(self, shape, with_bias):
+        rng = np.random.default_rng(30)
+        x = t64(rng.standard_normal(shape), requires_grad=True)
+        w = t64(rng.standard_normal((4, 3)), requires_grad=True)
+        b = t64(rng.standard_normal(3), requires_grad=True) if with_bias else None
+        readout = Tensor(rng.standard_normal(shape[:-1] + (3,)))
+        for wrt in [x, w] + ([b] if with_bias else []):
+            def f(v, wrt=wrt):
+                args = [v if t is wrt else t for t in (x, w, b)]
+                return T.tsum(T.mul(T.linear(*args), readout))
+            assert finite_diff_check(f, wrt) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_bit_identical_to_primitive_graph(self, shape, with_bias):
+        rng = np.random.default_rng(31)
+        f32 = np.float32
+        x = Tensor(rng.standard_normal(shape).astype(f32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)).astype(f32), requires_grad=True)
+        b = Tensor(rng.standard_normal(3).astype(f32), requires_grad=True) if with_bias else None
+        readout = rng.standard_normal(shape[:-1] + (3,)).astype(f32)
+        leaves = [t for t in (x, w, b) if t is not None]
+        fused = T.linear(x, w, b)
+        assert np.array_equal(fused.data, linear_composite(x, w, b).data)
+        g_fused = grads_of(lambda: T.linear(x, w, b), leaves, readout)
+        g_ref = grads_of(lambda: linear_composite(x, w, b), leaves, readout)
+        for a, r in zip(g_fused, g_ref):
+            assert a.dtype == np.float32 and np.array_equal(a, r)
+
+    def test_constant_input_gets_no_gradient(self):
+        x = t64(np.ones((2, 4)))
+        w = t64(np.ones((4, 3)), requires_grad=True)
+        backward(T.tsum(T.linear(x, w)))
+        assert x.grad is None
+        npt.assert_array_equal(w.grad, np.full((4, 3), 2.0))
+
+    def test_checks(self):
+        with pytest.raises(T.ShapeError, match="d_in"):
+            T.linear(t64(np.ones((2, 5))), t64(np.ones((4, 3))))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.linear(t64(np.ones((2, 4))), t64(np.ones((4, 3))), t64(np.ones(4)))
+        with pytest.raises(T.DtypeError):
+            T.linear(t64(np.ones((2, 4))), Tensor(np.ones((4, 3), dtype=np.float32)))
+
+
+class TestFusedAttention:
+    def make(self, Lq, dtype=np.float64, seed=32):
+        rng = np.random.default_rng(seed)
+        B, Lk, d = 2, 5, 4
+        q, k, v = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                   for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+        readout = rng.standard_normal((B, Lq, d)).astype(dtype)
+        return q, k, v, mask, readout
+
+    @pytest.mark.parametrize("Lq", [1, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, Lq, masked):
+        q, k, v, mask, readout = self.make(Lq)
+        mask = mask if masked else None
+        for wrt in (q, k, v):
+            def f(x, wrt=wrt):
+                args = [x if t is wrt else t for t in (q, k, v)]
+                out, _ = T.attention(*args, 2, mask)
+                return T.tsum(T.mul(out, Tensor(readout)))
+            assert finite_diff_check(f, wrt) < 1e-6
+
+    @pytest.mark.parametrize("Lq", [1, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_identical_to_primitive_graph(self, Lq, masked):
+        q, k, v, mask, readout = self.make(Lq, dtype=np.float32)
+        mask = mask if masked else None
+        out, weights = T.attention(q, k, v, 2, mask)
+        assert out.data.dtype == np.float32 and weights.dtype == np.float32
+        assert np.array_equal(out.data, attention_composite(q, k, v, 2, mask).data)
+        g_fused = grads_of(lambda: T.attention(q, k, v, 2, mask)[0], [q, k, v], readout)
+        g_ref = grads_of(lambda: attention_composite(q, k, v, 2, mask), [q, k, v], readout)
+        for a, r in zip(g_fused, g_ref):
+            assert a.dtype == np.float32 and np.array_equal(a, r)
+
+    def test_masked_keys_get_zero_weight(self):
+        q, k, v, mask, _ = self.make(3)
+        _, weights = T.attention(q, k, v, 2, mask)
+        assert weights.shape == (4, 3, 5)
+        npt.assert_allclose(weights.sum(axis=-1), np.ones((4, 3)), atol=1e-12)
+        assert np.all(weights[2:, :, 3:] == 0.0)
+
+    def test_checks(self):
+        q, k, v, mask, _ = self.make(3)
+        with pytest.raises(T.ShapeError, match="divisible"):
+            T.attention(q, k, v, 3)
+        with pytest.raises(T.ShapeError, match="key_mask"):
+            T.attention(q, k, v, 2, mask[:, :4])
+        with pytest.raises(T.ShapeError):
+            T.attention(q, k, T.narrow(v, 1, 0, 4), 2)
+        with pytest.raises(T.DtypeError):
+            T.attention(q, k, Tensor(v.data.astype(np.float32)), 2)
+        bad = Tensor(np.where(np.arange(24).reshape(2, 3, 4) == 5, np.nan, q.data))
+        with pytest.raises(T.NonFiniteError, match="non-finite"):
+            T.attention(bad, k, v, 2)
+
+
+# ---------------------------------------------------------------------------
+# gradient bookkeeping: leaf-only grads and no_grad
+# ---------------------------------------------------------------------------
+
+class TestLeafOnlyGradients:
+    def test_interior_nodes_keep_no_grad(self):
+        rng = np.random.default_rng(33)
+        x = t64(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = t64(rng.standard_normal((4, 4)), requires_grad=True)
+        h = T.linear(x, w)
+        out, _ = T.attention(h, h, h, 2)
+        r = T.relu(out)
+        loss = T.tsum(r)
+        backward(loss)
+        assert x.grad is not None and w.grad is not None
+        for node in (h, out, r, loss):
+            assert node.grad is None
+
+
+class TestNoGrad:
+    def test_records_nothing(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            y = T.tsum(T.mul(x, x))
+        assert y.item() == 5.0
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        backward(y)
+        assert x.grad is None
+
+    def test_nests_and_restores(self):
+        x = t64([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.scale(x, 2.0).requires_grad
+            assert not T.scale(x, 2.0).requires_grad
+        assert T.scale(x, 2.0).requires_grad
+
+    def test_restores_after_exception(self):
+        x = t64([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        assert T.scale(x, 2.0).requires_grad
