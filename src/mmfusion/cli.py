@@ -20,9 +20,10 @@ from .checkpoint import CheckpointError, load_into, save_checkpoint
 from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
                    load_dataset, save_dataset)
 from .decision import VOTE_STRATEGIES
+from .fields import ConfigError, from_dict
 from .fusion import ATTENTION_MODES
 from .metrics import save_metrics
-from .model import ConfigError, MultimodalClassifier, RunConfig
+from .model import MultimodalClassifier, RunConfig
 from .train import TrainingDiverged, evaluate_metrics, train_model
 
 GAMMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -101,7 +102,7 @@ def _train_once(cfg, dataset, out_dir=None):
 
 def cmd_generate(args):
     if args.spec:
-        spec = SyntheticSpec.from_dict(_read_json(args.spec, "spec"))
+        spec = from_dict(SyntheticSpec(), _read_json(args.spec, "spec"))
     else:
         spec = load_config(args).data
     problems = spec.validate()

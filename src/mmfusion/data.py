@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .encoders import PAD_ID, UNK_ID, ImageBatch, TextBatch
-from .fields import is_int, is_real, type_problems
+from .fields import ConfigError, bounded, field_problems, from_dict, is_int
 
 _WS = re.compile(r"\s+")
 
@@ -34,77 +34,52 @@ class DatasetIOError(IOError):
     pass
 
 
-# spec fields held as tuples in memory and as JSON lists on disk
-TUPLE_FIELDS = ("sentence_len", "split_ratios")
-
-
 @dataclass
 class SyntheticSpec:
-    n_classes: int = 4
-    samples_per_class: int = 60
-    image_size: int = 32
-    patch_size: int = 8
-    channels: int = 1
+    n_classes: int = bounded(4, lo=2)
+    samples_per_class: int = bounded(60, lo=1)
+    image_size: int = bounded(32, lo=1)
+    patch_size: int = bounded(8, lo=1)
+    channels: int = bounded(1, lo=1)
     vocab_size: int = 32
-    sentence_len: tuple = (4, 8)
-    image_informativeness: float = 0.5
-    text_informativeness: float = 0.5
-    noise_level: float = 0.05
-    seed: int = 0
-    split_ratios: tuple = (0.6, 0.1, 0.3)
-
-    @classmethod
-    def from_dict(cls, doc):
-        """Spec from its JSON form; unknown fields raise ``DatasetError``."""
-        if not isinstance(doc, dict):
-            raise DatasetError(f"synthetic spec must be a JSON object, got {doc!r}")
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise DatasetError(f"synthetic spec: unknown fields {unknown}")
-        return cls(**{k: tuple(v) if k in TUPLE_FIELDS and isinstance(v, list) else v
-                      for k, v in doc.items()})
-
-    def to_dict(self):
-        doc = asdict(self)
-        for k in TUPLE_FIELDS:
-            doc[k] = list(doc[k])
-        return doc
+    sentence_len: tuple[int, int] = bounded((4, 8), lo=1, label="sentence_len entries")
+    image_informativeness: float = bounded(0.5, lo=0, hi=1)
+    text_informativeness: float = bounded(0.5, lo=0, hi=1)
+    noise_level: float = bounded(0.05, lo=0, hi=1)
+    seed: int = bounded(0, lo=0)
+    split_ratios: tuple[float, float, float] = bounded(
+        (0.6, 0.1, 0.3), lo=0, hi=1, label="split_ratios entries")
 
     def validate(self):
-        problems = type_problems(self)
-        for name, size, check, what in (("sentence_len", 2, is_int, "integers"),
-                                        ("split_ratios", 3, is_real, "numbers")):
-            v = getattr(self, name)
-            if not (isinstance(v, (tuple, list)) and len(v) == size and all(map(check, v))):
-                problems.append(f"{name} must be a list of {size} {what}, got {v!r}")
+        problems = field_problems(self)
         if problems:
             return problems
-        for name in ("image_size", "patch_size", "channels"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.n_classes < 2:
-            problems.append(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.samples_per_class < 1:
-            problems.append("samples_per_class must be >= 1")
-        if self.patch_size >= 1 and self.image_size % self.patch_size:
+        if self.image_size % self.patch_size:
             problems.append(
                 f"patch_size {self.patch_size} does not divide image_size {self.image_size}")
-        for name in ("image_informativeness", "text_informativeness", "noise_level"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"{name} must be in [0, 1], got {v}")
-        lo, hi = self.sentence_len
-        if lo < 1 or hi < lo:
+        if self.sentence_len[1] < self.sentence_len[0]:
             problems.append(f"sentence_len range invalid: {self.sentence_len}")
+        n_train, _n_val, n_test = split_counts(self)
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             problems.append(f"split ratios must sum to 1, got {self.split_ratios}")
+        elif min(n_train, n_test) < 1:
+            problems.append(
+                f"split ratios {self.split_ratios} leave a class without a train or "
+                f"test sample at {self.samples_per_class} samples per class")
         # keyword ids + a handful of filler words must fit the vocabulary
         if self.vocab_size < 2 + self.n_classes + 4:
             problems.append(
                 f"vocab_size {self.vocab_size} too small for {self.n_classes} keywords")
         return problems
+
+
+def split_counts(spec):
+    """Per-class (train, val, test) sample counts: the train and val shares
+    are rounded, test takes the rest."""
+    per = spec.samples_per_class
+    n_train = int(round(spec.split_ratios[0] * per))
+    n_val = int(round(spec.split_ratios[1] * per))
+    return n_train, n_val, per - n_train - n_val
 
 
 @dataclass
@@ -278,10 +253,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
     keyword_ids = {g: 2 + i for i, g in enumerate(sorted(set(keyword_groups)))}
     keyword_of = [keyword_ids[g] for g in keyword_groups]
 
-    train_r, val_r, _test_r = spec.split_ratios
     per = spec.samples_per_class
-    n_train = int(round(train_r * per))
-    n_val = int(round(val_r * per))
+    n_train, n_val, _n_test = split_counts(spec)
 
     samples = []
     for label in range(n):
@@ -382,7 +355,7 @@ def save_dataset(ds: Dataset, out_dir):
             fh.write(raw)
             offset += len(raw)
     doc = {
-        "spec": ds.spec.to_dict(),
+        "spec": asdict(ds.spec),
         "vocab": ds.vocab,
         "pattern_of": ds.pattern_of,
         "keyword_of": ds.keyword_of,
@@ -397,7 +370,24 @@ def save_dataset(ds: Dataset, out_dir):
         json.dump(ds.vocab, fh, indent=1)
 
 
+# dataset.json's top-level fields and the checks of a sample record's fields
+_DOC_FIELDS = {"spec": dict, "vocab": dict, "pattern_of": list, "keyword_of": list,
+               "self_check": dict, "image_shape": list, "samples": list}
+_RECORD_FIELDS = {"offset": is_int, "length": is_int, "label": is_int,
+                  "split": lambda v: isinstance(v, str),
+                  "tokens": lambda v: isinstance(v, list) and all(map(is_int, v))}
+
+
 def load_dataset(in_dir) -> Dataset:
+    """Read a dataset directory back.
+
+    Anything that does not describe a whole dataset raises
+    ``DatasetIOError``: an unreadable file, a ``dataset.json`` that is not a
+    JSON object with the fields ``save_dataset`` writes, an embedded spec
+    that ``fields.from_dict`` rejects, a sample record without an integer
+    ``offset``/``length``/``label``, a token list or a ``split`` string, or
+    image bytes that do not fit the record.
+    """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
             doc = json.load(fh)
@@ -405,20 +395,36 @@ def load_dataset(in_dir) -> Dataset:
             blob = fh.read()
     except OSError as exc:
         raise DatasetIOError(f"unreadable dataset at {in_dir}: {exc}") from exc
-
-    spec = SyntheticSpec.from_dict(doc["spec"])
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise DatasetIOError(f"corrupt dataset.json at {in_dir}: {exc}") from exc
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(k), t) for k, t in _DOC_FIELDS.items())):
+        raise DatasetIOError(
+            f"corrupt dataset.json at {in_dir}: needs a JSON object with fields "
+            + ", ".join(f"{k} ({t.__name__})" for k, t in _DOC_FIELDS.items()))
+    try:
+        spec = from_dict(SyntheticSpec(), doc["spec"])
+    except ConfigError as exc:
+        raise DatasetIOError(f"corrupt spec in {in_dir}/dataset.json: {exc}") from exc
     shape = tuple(doc["image_shape"])
+    if len(shape) != 3 or not all(is_int(n) and n >= 1 for n in shape):
+        raise DatasetIOError(f"corrupt image_shape {doc['image_shape']!r} in {in_dir}")
     expected = int(np.prod(shape)) * 4
     samples = []
-    for rec in doc["samples"]:
+    for i, rec in enumerate(doc["samples"]):
+        if not (isinstance(rec, dict)
+                and all(k in rec and ok(rec[k]) for k, ok in _RECORD_FIELDS.items())):
+            raise DatasetIOError(
+                f"corrupt sample record {i}: needs integer offset, length and label, "
+                f"a token list and a split name, got {rec!r}")
         start, length = rec["offset"], rec["length"]
-        if length != expected or start + length > len(blob):
+        if start < 0 or length != expected or start + length > len(blob):
             raise DatasetIOError(
                 f"corrupt image record at offset {start}: length {length}, "
                 f"file has {len(blob)} bytes")
         img = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=start)
         samples.append(Sample(image=img.reshape(shape).astype(np.float32),
-                              tokens=list(rec["tokens"]), label=int(rec["label"]),
+                              tokens=list(rec["tokens"]), label=rec["label"],
                               split=rec["split"]))
     return Dataset(spec=spec, samples=samples, vocab=dict(doc["vocab"]),
                    pattern_of=list(doc["pattern_of"]),

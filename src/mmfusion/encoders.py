@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .fields import type_problems
+from .fields import bounded, field_problems
 from .layers import Linear, TransformerBlock, trunc_normal
 from .tensor import Module, ModuleList, Tensor
 
@@ -23,24 +23,19 @@ UNK_ID = 1
 
 @dataclass
 class EncoderConfig:
-    d_model: int = 64
-    n_heads: int = 2
-    n_layers: int = 2
-    ffn_width: int = 128
-    embedding_dim: int = 32
+    d_model: int = bounded(64, lo=1)
+    n_heads: int = bounded(2, lo=1)
+    n_layers: int = bounded(2, lo=1)
+    ffn_width: int = bounded(128, lo=1)
+    embedding_dim: int = bounded(32, lo=1)
     share_layers: bool = True
-    max_len: int = 64
+    max_len: int = bounded(64, lo=1)
 
     def validate(self):
-        problems = type_problems(self)
-        if problems:
-            return problems
-        if self.n_heads >= 1 and self.d_model % self.n_heads:
+        problems = field_problems(self)
+        if not problems and self.d_model % self.n_heads:
             problems.append(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        for name in ("d_model", "n_heads", "n_layers", "ffn_width", "embedding_dim", "max_len"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         return problems
 
 

@@ -1,15 +1,26 @@
-"""Type checks for values read from JSON: the scalar fields of
-configuration dataclasses and the numbers of a checkpoint manifest.
+"""The one schema of the configuration dataclasses: each field's type, its
+bounds and its JSON form.
 
-A field annotated ``int`` may hold a string or a list once it came from a
-JSON file. ``validate`` methods call ``type_problems`` first and
-range-check only a section whose fields all have their annotated types.
+A field's type is its annotation, read as a string (the modules use
+``from __future__ import annotations``): ``int``, ``float``, ``bool`` or
+``str`` (each optionally ``| None``), a fixed-length ``tuple[...]`` of
+those, or a nested section dataclass. Its bounds are declared where the
+field is defined, with ``bounded``. ``field_problems`` checks both;
+``validate`` methods add only the rules that relate two fields.
+``from_dict`` reads the JSON form, where a tuple is a list and a document
+names only the fields it changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
+
+
+class ConfigError(ValueError):
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
 
 
 def is_int(v):
@@ -20,26 +31,94 @@ def is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-# annotation -> (check, what the message says the value must be)
+# annotation -> (check, what one value must be, what several must be)
 _CHECKS = {
-    "int": (is_int, "an integer"),
-    "float": (is_real, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (is_int, "an integer", "integers"),
+    "float": (is_real, "a number", "numbers"),
+    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
 }
 
 
-def type_problems(obj):
-    """One message per field of dataclass ``obj`` whose value lacks its
-    annotated scalar type (``int``, ``float``, ``bool`` or ``str``, each
-    optionally ``| None``); fields with other annotations are not checked."""
-    problems = []
-    for f in dataclasses.fields(obj):
-        kind, _, rest = f.type.partition(" | ")
-        value = getattr(obj, f.name)
-        if kind not in _CHECKS or (rest == "None" and value is None):
-            continue
-        check, what = _CHECKS[kind]
+def bounded(default, lo=None, hi=None, lo_open=False, choices=None, label=None):
+    """A dataclass field defaulting to ``default`` whose value must be one of
+    ``choices``, or lie in ``[lo, hi]`` (``(lo, hi]`` with ``lo_open``; no
+    upper end when ``hi`` is None). Each entry of a tuple value is checked.
+    ``label`` names the field in messages instead of its name."""
+    return dataclasses.field(default=default,
+                             metadata={"bounds": (lo, hi, lo_open, choices, label)})
+
+
+def _type_problem(name, annotation, value):
+    kind, _, rest = annotation.partition(" | ")
+    if rest == "None" and value is None:
+        return None
+    if kind.startswith("tuple["):
+        items = kind[len("tuple["):-1].split(", ")
+        check, _, what = _CHECKS[items[0]]
+        if not (isinstance(value, (tuple, list)) and len(value) == len(items)
+                and all(map(check, value))):
+            return f"{name} must be a list of {len(items)} {what}, got {value!r}"
+    elif kind in _CHECKS:
+        check, what, _ = _CHECKS[kind]
         if not check(value):
-            problems.append(f"{f.name} must be {what}, got {value!r}")
-    return problems
+            return f"{name} must be {what}, got {value!r}"
+    return None
+
+
+def _bound_problem(name, value, bounds):
+    lo, hi, lo_open, choices, label = bounds
+    label = label or name
+    if choices is not None:
+        return None if value in choices else \
+            f"{label} must be one of {choices}, got {value!r}"
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    if all((v > lo if lo_open else v >= lo) and (hi is None or v <= hi) for v in values):
+        return None
+    if hi is None:
+        return f"{label} must be {'>' if lo_open else '>='} {lo}, got {value}"
+    return f"{label} must be in {'(' if lo_open else '['}{lo}, {hi}], got {value}"
+
+
+def field_problems(obj):
+    """One message per field of dataclass ``obj`` whose value lacks its
+    annotated type; when every type is right, one per value outside its
+    declared bounds. Nested sections are not entered."""
+    fields = dataclasses.fields(obj)
+    problems = [_type_problem(f.name, f.type, getattr(obj, f.name)) for f in fields]
+    if not any(problems):
+        problems = [_bound_problem(f.name, getattr(obj, f.name), f.metadata["bounds"])
+                    for f in fields if "bounds" in f.metadata]
+    return [p for p in problems if p]
+
+
+def from_dict(base, doc):
+    """``base`` with the fields that the JSON object ``doc`` names replaced,
+    section by section: a section names only the fields it changes, and a
+    JSON list becomes a tuple. Every unknown field and every section that
+    is not an object is reported in one ``ConfigError``."""
+    problems = []
+    merged = _merge(base, doc, type(base).__name__, problems)
+    if problems:
+        raise ConfigError(problems)
+    return merged
+
+
+def _merge(base, doc, where, problems):
+    if not isinstance(doc, dict):
+        problems.append(f"{where} must be a JSON object, got {doc!r}")
+        return base
+    known = {f.name for f in dataclasses.fields(base)}
+    if set(doc) - known:
+        problems.append(f"{where}: unknown fields {sorted(set(doc) - known)}")
+    changes = {}
+    for name, value in doc.items():
+        if name not in known:
+            continue
+        current = getattr(base, name)
+        if dataclasses.is_dataclass(current):
+            value = _merge(current, value, name, problems)
+        elif isinstance(value, list):
+            value = tuple(value)
+        changes[name] = value
+    return dataclasses.replace(base, **changes)

@@ -19,35 +19,15 @@ merged self-attention tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .encoders import masked_mean
-from .layers import (LayerNorm, Linear, TransformerBlock, scaled_dot_attention,
-                     trunc_normal)
+from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
 from .tensor import Module, Tensor, dropout_mask, _result
 
 ATTENTION_MODES = ("sequence", "pooled")
 TOPOLOGIES = ("hybrid", "merged", "interaction")
-
-
-@dataclass
-class RegularizationConfig:
-    p: float = 0.9          # keep probability
-    alpha: float = 0.01     # L1 coefficient
-    beta: float = 0.01      # L2 coefficient
-
-    def validate(self):
-        problems = []
-        if not 0 < self.p <= 1:
-            problems.append(f"keep probability p must be in (0, 1], got {self.p}")
-        if self.alpha < 0:
-            problems.append(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            problems.append(f"beta must be >= 0, got {self.beta}")
-        return problems
 
 
 def dropout_channel(x: Tensor, p: float, mode: str = "training",
@@ -229,10 +209,10 @@ class CrossModalAttention(Module):
         """Both directions over [B, L, d] sequences; ``text_mask`` marks the
         real text keys. Returns (text queries' read of the image, image
         queries' read of the text), shaped like the respective queries."""
-        from_image = scaled_dot_attention(
+        from_image, _ = T.attention(
             self.q_from_text(text_query), self.k_image(image_kv),
             self.v_image(image_kv), self.n_heads)
-        from_text = scaled_dot_attention(
+        from_text, _ = T.attention(
             self.q_from_image(image_query), self.k_text(text_kv),
             self.v_text(text_kv), self.n_heads, key_mask=text_mask)
         return from_image, from_text

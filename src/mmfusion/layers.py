@@ -43,24 +43,6 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                         key_mask: np.ndarray | None = None,
-                         return_weights: bool = False):
-    """Multi-head scaled dot-product attention over already-projected q/k/v,
-    one fused graph node (``tensor.attention``).
-
-    q: [B, Lq, d], k/v: [B, Lk, d]. ``key_mask`` is a boolean [B, Lk] array,
-    True where the key is real; masked keys get -1e9 logits so their
-    attention weight underflows to zero. With ``return_weights`` the
-    row-stochastic weight tensor [B*h, Lq, Lk] is returned alongside, as a
-    constant: no gradient flows back through it.
-    """
-    out, weights = T.attention(q, k, v, n_heads, key_mask)
-    if return_weights:
-        return out, Tensor(weights)
-    return out
-
-
 class MultiHeadSelfAttention(Module):
     def __init__(self, d, n_heads, rng, dtype=np.float32, std=None):
         super().__init__()
@@ -75,7 +57,7 @@ class MultiHeadSelfAttention(Module):
         self.o_proj = Linear(d, d, rng, dtype=dtype, std=std)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        out = scaled_dot_attention(
+        out, _ = T.attention(
             self.q_proj(x), self.k_proj(x), self.v_proj(x), self.n_heads, key_mask)
         return self.o_proj(out)
 

@@ -1,13 +1,17 @@
 """Full classifier assembly: encoders -> channels -> fusion -> branches.
 
-``RunConfig`` gathers every knob; ``validate`` reports all problems at once
-rather than stopping at the first. The model can be built multimodal or with
-a single modality (the unimodal baselines used in trend comparisons).
+``RunConfig`` gathers every setting in sections. Each field declares its
+type and bounds (``fields.bounded``) and a section's ``validate`` adds only
+the rules that relate two fields; ``RunConfig.validate`` reports every
+problem at once rather than stopping at the first. ``RunConfig.from_dict``
+reads the JSON form, where a section names only the fields it changes. The
+model can be built multimodal or with a single modality (the unimodal
+baselines used in trend comparisons); every branch has the encoder width.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -16,87 +20,46 @@ from .data import SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
-from .fields import type_problems
+from .fields import ConfigError, bounded, field_problems, from_dict
 from .fusion import (ATTENTION_MODES, TOPOLOGIES, ConcatLinearFusion,
-                     RegularizationConfig, UnimodalFusionHead,
-                     build_interaction_path, dropout_channel, elastic_net_channel)
+                     UnimodalFusionHead, build_interaction_path, dropout_channel,
+                     elastic_net_channel)
 from .tensor import Module
 
 MODALITIES = ("multimodal", "image", "text")
 
 
-class ConfigError(ValueError):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
-
-
 @dataclass
 class FusionSettings:
-    p: float = 0.9
-    alpha: float = 0.01
-    beta: float = 0.01
-    d_f: int | None = None
-    mode: str = "sequence"
-    topology: str = "hybrid"
+    p: float = bounded(0.9, lo=0, hi=1, lo_open=True, label="keep probability p")
+    alpha: float = bounded(0.01, lo=0)      # L1 coefficient
+    beta: float = bounded(0.01, lo=0)       # L2 coefficient
+    mode: str = bounded("sequence", choices=ATTENTION_MODES, label="attention mode")
+    topology: str = bounded("hybrid", choices=TOPOLOGIES)
     use_hybrid_attention: bool = True    # off -> concat+linear interaction path
     use_reg_channels: bool = True        # off -> both channels pass through
 
-    def validate(self, d_model):
-        problems = type_problems(self)
-        if problems:
-            return problems
-        problems = RegularizationConfig(self.p, self.alpha, self.beta).validate()
-        if self.mode not in ATTENTION_MODES:
-            problems.append(f"attention mode must be one of {ATTENTION_MODES}, "
-                            f"got {self.mode!r}")
-        if self.topology not in TOPOLOGIES:
-            problems.append(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.d_f is not None and self.d_f != d_model:
-            problems.append(
-                f"d_f {self.d_f} must equal d_model {d_model}: the interaction "
-                f"feature has encoder width and all branch widths must agree")
-        return problems
+    validate = field_problems
 
 
 @dataclass
 class DecisionSettings:
-    gamma: float = 0.1
-    vote: str = "confidence"
+    gamma: float = bounded(0.1, lo=0, hi=1)
+    vote: str = bounded("confidence", choices=VOTE_STRATEGIES, label="vote strategy")
 
-    def validate(self):
-        problems = type_problems(self)
-        if problems:
-            return problems
-        if not 0.0 <= self.gamma <= 1.0:
-            problems.append(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.vote not in VOTE_STRATEGIES:
-            problems.append(f"vote strategy must be one of {VOTE_STRATEGIES}, "
-                            f"got {self.vote!r}")
-        return problems
+    validate = field_problems
 
 
 @dataclass
 class TrainerSettings:
-    epochs: int = 25
-    batch_size: int = 8
-    lr_text: float = 1e-5
-    lr_image: float = 1e-4
-    lr_other: float = 1e-4
-    weight_decay: float = 5e-4
+    epochs: int = bounded(25, lo=0)
+    batch_size: int = bounded(8, lo=1)
+    lr_text: float = bounded(1e-5, lo=0)
+    lr_image: float = bounded(1e-4, lo=0)
+    lr_other: float = bounded(1e-4, lo=0)
+    weight_decay: float = bounded(5e-4, lo=0)
 
-    def validate(self):
-        problems = type_problems(self)
-        if problems:
-            return problems
-        if self.epochs < 0:
-            problems.append(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lr_text", "lr_image", "lr_other", "weight_decay"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0")
-        return problems
+    validate = field_problems
 
 
 @dataclass
@@ -112,30 +75,22 @@ class RunConfig:
     trainer: TrainerSettings = field(default_factory=TrainerSettings)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
     dataset_path: str | None = None
-    modality: str = "multimodal"
-    seed: int = 0
+    modality: str = bounded("multimodal", choices=MODALITIES)
+    seed: int = bounded(0, lo=0)
 
     def validate(self):
+        """Every problem of every section (``data`` only when the dataset is
+        generated from it), then the top-level fields'."""
         problems = []
-        problems += [f"text_encoder: {p}" for p in self.text_encoder.validate()]
-        problems += [f"image_encoder: {p}" for p in self.image_encoder.validate()]
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section) and (f.name != "data" or self.dataset_path is None):
+                problems += [f"{f.name}: {p}" for p in section.validate()]
         if self.text_encoder.d_model != self.image_encoder.d_model:
             problems.append(
                 f"encoder widths differ ({self.text_encoder.d_model} vs "
                 f"{self.image_encoder.d_model}); fusion requires equal widths")
-        problems += [f"fusion: {p}" for p in
-                     self.fusion.validate(self.text_encoder.d_model)]
-        problems += [f"decision: {p}" for p in self.decision.validate()]
-        problems += [f"trainer: {p}" for p in self.trainer.validate()]
-        if self.dataset_path is None:
-            problems += [f"data: {p}" for p in self.data.validate()]
-        own = type_problems(self)
-        if not own:
-            if self.modality not in MODALITIES:
-                own.append(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-            if self.seed < 0:
-                own.append(f"seed must be >= 0, got {self.seed}")
-        return problems + own
+        return problems + field_problems(self)
 
     def require_valid(self):
         problems = self.validate()
@@ -144,44 +99,12 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        doc = asdict(self)
-        doc["data"] = self.data.to_dict()
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError([f"a run config must be a JSON object, got {doc!r}"])
-        doc = dict(doc)
-        problems = []
-        kwargs = {}
-        sections = {"text_encoder": EncoderConfig, "image_encoder": EncoderConfig,
-                    "fusion": FusionSettings, "decision": DecisionSettings,
-                    "trainer": TrainerSettings, "data": SyntheticSpec}
-        for name, section_cls in sections.items():
-            if name not in doc:
-                continue
-            payload = doc.pop(name)
-            if not isinstance(payload, dict):
-                problems.append(f"{name}: must be a JSON object, got {payload!r}")
-                continue
-            payload = dict(payload)
-            known = set(section_cls().__dataclass_fields__)
-            unknown = set(payload) - known
-            if unknown:
-                problems.append(f"{name}: unknown fields {sorted(unknown)}")
-                for k in unknown:
-                    payload.pop(k)
-            kwargs[name] = (SyntheticSpec.from_dict(payload) if name == "data"
-                            else section_cls(**payload))
-        for name in ("dataset_path", "modality", "seed"):
-            if name in doc:
-                kwargs[name] = doc.pop(name)
-        if doc:
-            problems.append(f"unknown top-level fields {sorted(doc)}")
-        if problems:
-            raise ConfigError(problems)
-        return cls(**kwargs)
+        """The default config with the fields ``doc`` names replaced."""
+        return from_dict(cls(), doc)
 
 
 class MultimodalClassifier(Module):
@@ -194,20 +117,19 @@ class MultimodalClassifier(Module):
         self.cfg = cfg
         self.modality = cfg.modality
         d = cfg.text_encoder.d_model
-        self.d_f = cfg.fusion.d_f or d
         rng = np.random.default_rng([cfg.seed, 0])
 
         spec = cfg.data
         if self.modality in ("multimodal", "text"):
             self.text_encoder = TextEncoder(cfg.text_encoder, vocab_size, rng=rng)
-            self.text_head = UnimodalFusionHead(d, self.d_f, rng)
-            self.text_classifier = BranchClassifier(self.d_f, spec.n_classes, "text", rng)
+            self.text_head = UnimodalFusionHead(d, d, rng)
+            self.text_classifier = BranchClassifier(d, spec.n_classes, "text", rng)
         if self.modality in ("multimodal", "image"):
             self.image_encoder = ImageEncoder(
                 cfg.image_encoder, spec.image_size, spec.patch_size,
                 channels=spec.channels, rng=rng)
-            self.image_head = UnimodalFusionHead(d, self.d_f, rng)
-            self.image_classifier = BranchClassifier(self.d_f, spec.n_classes, "image", rng)
+            self.image_head = UnimodalFusionHead(d, d, rng)
+            self.image_classifier = BranchClassifier(d, spec.n_classes, "image", rng)
         if self.modality == "multimodal":
             if cfg.fusion.use_hybrid_attention:
                 self.interaction_path = build_interaction_path(
@@ -216,7 +138,7 @@ class MultimodalClassifier(Module):
             else:
                 self.interaction_path = ConcatLinearFusion(d, rng)
             self.interaction_classifier = BranchClassifier(
-                self.d_f, spec.n_classes, "interaction", rng)
+                d, spec.n_classes, "interaction", rng)
             self.vote = VotingHead(cfg.decision.vote)
 
     def _channels(self, pooled, training, rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mmfusion.cli import main
+from mmfusion.model import RunConfig
 
 TINY = {
     "text_encoder": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_width": 32,
@@ -71,7 +72,7 @@ class TestTrain:
         # checkpoint equals a freshly built model's parameters
         from mmfusion.checkpoint import load_checkpoint
         from mmfusion.data import generate
-        from mmfusion.model import MultimodalClassifier, RunConfig
+        from mmfusion.model import MultimodalClassifier
         cfg = RunConfig.from_dict(json.loads(open(tiny_config).read()))
         ds = generate(cfg.data)
         fresh = MultimodalClassifier(cfg, vocab_size=len(ds.vocab))
@@ -98,6 +99,13 @@ class TestTrain:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+    def test_partial_section_overrides_only_the_fields_it_names(self, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"text_encoder": {"n_layers": 1}}))
+        assert RunConfig.from_dict(json.loads(path.read_text())).text_encoder.d_model == 32
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x"),
+                     "--epochs", "1"]) == 0
 
     def test_missing_dataset_dir_exits_4(self, tiny_config, tmp_path):
         assert main(["train", "--config", tiny_config, "--data",
@@ -152,6 +160,9 @@ class TestMalformedInput:
         ("text_encoder", {"n_heads": 0}, "n_heads must be >= 1"),
         ("data", {"sentence_len": 5}, "sentence_len must be a list"),
         ("data", {"patch_size": 0}, "patch_size must be >= 1"),
+        ("data", {"split_ratios": [1.5, -0.5, 0.0]}, "split_ratios entries must be in"),
+        ("data", {"split_ratios": [1.0, 0.0, 0.0]}, "without a train or test sample"),
+        ("fusion", {"d_f": None}, "unknown fields ['d_f']"),
     ])
     def test_mistyped_config_field_exits_2(self, tmp_path, capsys, section, fields, needle):
         doc = json.loads(json.dumps(TINY))
@@ -209,6 +220,37 @@ class TestCorruptCheckpoint:
         assert main(["eval", "--config", config, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+def _truncate_to_spec(doc):
+    return '{"spec": '
+
+
+def _drop_first_offset(doc):
+    del doc["samples"][0]["offset"]
+    return json.dumps(doc)
+
+
+def _unknown_spec_field(doc):
+    doc["spec"]["bogus"] = 1
+    return json.dumps(doc)
+
+
+class TestCorruptDataset:
+    @pytest.mark.parametrize("mutate", [_truncate_to_spec, _drop_first_offset,
+                                        _unknown_spec_field],
+                             ids=["truncated", "record_without_offset", "bad_spec"])
+    def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
+        data_dir = tmp_path / "ds"
+        assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
+        doc = json.loads((data_dir / "dataset.json").read_text())
+        (data_dir / "dataset.json").write_text(mutate(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmfusion", "train", "--config", tiny_config,
+             "--data", str(data_dir), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert "i/o error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestAblate:

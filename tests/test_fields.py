@@ -1,0 +1,162 @@
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mmfusion.data import SyntheticSpec
+from mmfusion.decision import VOTE_STRATEGIES
+from mmfusion.fields import ConfigError, bounded, field_problems
+from mmfusion.fusion import ATTENTION_MODES, TOPOLOGIES
+from mmfusion.model import (MODALITIES, DecisionSettings, EncoderConfig,
+                            FusionSettings, RunConfig, TrainerSettings)
+
+
+def leaves(obj, prefix=""):
+    """(dotted name, annotation) of every settable field, sections entered."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+# Every setting of a run. Adding or dropping one is a design decision: edit
+# this list in the same change and say why.
+KNOBS = [
+    *(f"{enc}.{name}" for enc in ("text_encoder", "image_encoder")
+      for name in ("d_model", "n_heads", "n_layers", "ffn_width", "embedding_dim",
+                   "share_layers", "max_len")),
+    "fusion.p", "fusion.alpha", "fusion.beta", "fusion.mode", "fusion.topology",
+    "fusion.use_hybrid_attention", "fusion.use_reg_channels",
+    "decision.gamma", "decision.vote",
+    "trainer.epochs", "trainer.batch_size", "trainer.lr_text", "trainer.lr_image",
+    "trainer.lr_other", "trainer.weight_decay",
+    "data.n_classes", "data.samples_per_class", "data.image_size", "data.patch_size",
+    "data.channels", "data.vocab_size", "data.sentence_len",
+    "data.image_informativeness", "data.text_informativeness", "data.noise_level",
+    "data.seed", "data.split_ratios",
+    "dataset_path", "modality", "seed",
+]
+
+
+def test_knob_census():
+    assert [name for name, _ in leaves(RunConfig())] == KNOBS
+    assert len(KNOBS) == 44
+
+
+unit = st.floats(0, 1)
+rate = st.floats(0, 10)
+
+
+@st.composite
+def run_configs(draw):
+    heads = draw(st.integers(1, 4))
+    d_model = heads * draw(st.integers(1, 8))
+
+    def encoder():
+        return EncoderConfig(
+            d_model=d_model, n_heads=heads, n_layers=draw(st.integers(1, 4)),
+            ffn_width=draw(st.integers(1, 128)), embedding_dim=draw(st.integers(1, 64)),
+            share_layers=draw(st.booleans()), max_len=draw(st.integers(1, 128)))
+
+    n_classes = draw(st.integers(2, 8))
+    patch = draw(st.integers(1, 8))
+    shortest = draw(st.integers(1, 8))
+    data = SyntheticSpec(
+        n_classes=n_classes, samples_per_class=draw(st.integers(10, 200)),
+        image_size=patch * draw(st.integers(1, 8)), patch_size=patch,
+        channels=draw(st.integers(1, 3)), vocab_size=draw(st.integers(n_classes + 6, 99)),
+        sentence_len=(shortest, shortest + draw(st.integers(0, 8))),
+        image_informativeness=draw(unit), text_informativeness=draw(unit),
+        noise_level=draw(unit), seed=draw(st.integers(0, 2**40)),
+        split_ratios=draw(st.sampled_from(
+            [(0.6, 0.1, 0.3), (0.8, 0.0, 0.2), (0.3, 0.1, 0.6), (0.5, 0.25, 0.25)])))
+    return RunConfig(
+        text_encoder=encoder(), image_encoder=encoder(),
+        fusion=FusionSettings(
+            p=draw(st.floats(0, 1, exclude_min=True)), alpha=draw(rate),
+            beta=draw(rate), mode=draw(st.sampled_from(ATTENTION_MODES)),
+            topology=draw(st.sampled_from(TOPOLOGIES)),
+            use_hybrid_attention=draw(st.booleans()),
+            use_reg_channels=draw(st.booleans())),
+        decision=DecisionSettings(gamma=draw(unit),
+                                  vote=draw(st.sampled_from(VOTE_STRATEGIES))),
+        trainer=TrainerSettings(
+            epochs=draw(st.integers(0, 100)), batch_size=draw(st.integers(1, 64)),
+            lr_text=draw(rate), lr_image=draw(rate), lr_other=draw(rate),
+            weight_decay=draw(rate)),
+        data=data, modality=draw(st.sampled_from(MODALITIES)),
+        seed=draw(st.integers(0, 2**40)))
+
+
+@settings(deadline=None)
+@given(run_configs())
+def test_json_round_trip(cfg):
+    assert cfg.validate() == []
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# JSON values of the wrong type for each annotation
+WRONG = {
+    "int": ["x", 1.5, True, None, [1]],
+    "float": ["0.1", True, None, [0.5], {}],
+    "bool": [1, "true", None],
+    "str": [1, True, None, ["hybrid"]],
+    "str | None": [1, False, ["run"]],
+    "tuple[int, int]": [5, "x", None, [1], [1, 2, 3], [1.5, 2]],
+    "tuple[float, float, float]": [0.5, None, [0.5, 0.5], ["a", 0.5, 0.5]],
+}
+
+
+@settings(deadline=None)
+@given(run_configs(), st.sampled_from(list(leaves(RunConfig()))), st.data())
+def test_wrongly_typed_field_is_named(cfg, leaf, data):
+    name, annotation = leaf
+    bad = data.draw(st.sampled_from(WRONG[annotation]))
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    *path, field = name.split(".")
+    section = doc
+    for part in path:
+        section = section[part]
+    section[field] = bad
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(doc).require_valid()
+    prefix = f"{path[0]}: " if path else ""
+    assert any(p.startswith(f"{prefix}{field} must be") for p in exc.value.problems), \
+        exc.value.problems
+
+
+def test_from_dict_reports_every_unknown_field_and_non_object_section():
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict({"fusion": {"d_f": None}, "trainer": 5, "optimiser": {}})
+    assert exc.value.problems == [
+        "RunConfig: unknown fields ['optimiser']",
+        "fusion: unknown fields ['d_f']",
+        "trainer must be a JSON object, got 5",
+    ]
+
+
+@dataclasses.dataclass
+class _Example:
+    count: int = bounded(1, lo=1)
+    share: float = bounded(0.5, lo=0, hi=1, lo_open=True, label="the share")
+    pair: tuple[int, int] = bounded((1, 2), lo=0)
+    kind: str = bounded("a", choices=("a", "b"))
+    note: str | None = None
+
+
+def test_field_problems_reports_types_before_bounds():
+    assert field_problems(_Example()) == []
+    assert field_problems(_Example(count=0, share=0.0, pair=(-1, 2), kind="c")) == [
+        "count must be >= 1, got 0",
+        "the share must be in (0, 1], got 0.0",
+        "pair must be >= 0, got (-1, 2)",
+        "kind must be one of ('a', 'b'), got 'c'",
+    ]
+    # a type problem hides the bound problems, which could not be compared
+    assert field_problems(_Example(count=0, note=3)) == ["note must be a string, got 3"]
+

@@ -5,12 +5,11 @@ import pytest
 from mmfusion import tensor as T
 from mmfusion.fusion import (ConcatLinearFusion, CrossModalAttention,
                              HybridAttentionFusion, InteractionEncoderFusion,
-                             MergedAttentionFusion, RegularizationConfig,
-                             TOPOLOGIES, SelfAttentionPool, TextConvPool,
+                             MergedAttentionFusion, TOPOLOGIES, SelfAttentionPool, TextConvPool,
                              UnimodalFusionHead, build_interaction_path,
                              dropout_channel, elastic_net_channel)
 from mmfusion.gradcheck import finite_diff_check
-from mmfusion.layers import scaled_dot_attention
+from mmfusion.model import FusionSettings
 from mmfusion.tensor import Tensor
 
 
@@ -64,8 +63,8 @@ class TestDropoutChannel:
             dropout_channel(t64([1.0]), 0.0, mode="training", rng=np.random.default_rng(0))
 
     def test_config_validation(self):
-        assert RegularizationConfig(p=0.5, alpha=0.0, beta=0.0).validate() == []
-        bad = RegularizationConfig(p=0.0, alpha=-1.0, beta=-0.5).validate()
+        assert FusionSettings(p=0.5, alpha=0.0, beta=0.0).validate() == []
+        bad = FusionSettings(p=0.0, alpha=-1.0, beta=-0.5).validate()
         assert len(bad) == 3
 
 
@@ -275,8 +274,8 @@ class TestCrossModalAttention:
         q = t64(rng.standard_normal((2, 1, 4)))
         k = t64(rng.standard_normal((2, 5, 4)))
         v = t64(rng.standard_normal((2, 5, 4)))
-        _, w = scaled_dot_attention(q, k, v, 2, return_weights=True)
-        npt.assert_allclose(w.data.sum(axis=-1), np.ones((4, 1)), atol=1e-6)
+        _, w = T.attention(q, k, v, 2)
+        npt.assert_allclose(w.sum(axis=-1), np.ones((4, 1)), atol=1e-6)
 
     def test_joint_qk_scaling_squares_logits(self):
         rng = np.random.default_rng(18)
@@ -294,9 +293,9 @@ class TestCrossModalAttention:
         scaled = logits(c * q[0], c * k[0])
         npt.assert_allclose(scaled, c * c * base, atol=1e-12)
         # and the graph's attention weights are the softmax of those logits
-        _, w = scaled_dot_attention(t64(q), t64(k), t64(k), heads, return_weights=True)
+        _, w = T.attention(t64(q), t64(k), t64(k), heads)
         e = np.exp(base - base.max(axis=-1, keepdims=True))
-        npt.assert_allclose(w.data, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
+        npt.assert_allclose(w, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
 
     def test_width_mismatch_errors(self):
         attn = self.make("pooled")

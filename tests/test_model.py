@@ -56,11 +56,6 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             cfg.require_valid()
 
-    def test_d_f_must_match_encoder_width(self):
-        cfg = tiny_cfg()
-        cfg.fusion.d_f = 8
-        assert any("d_f" in p for p in cfg.validate())
-
     def test_unimodal_models_only_build_their_side(self, tiny_dataset):
         img = MultimodalClassifier(tiny_cfg(modality="image"),
                                    vocab_size=len(tiny_dataset.vocab))
