@@ -98,10 +98,13 @@ def _read_entry(name, meta, blob):
 
 
 def load_into(module, ckpt_dir):
-    """Assign checkpoint arrays onto a module's parameters, validating shapes
-    and dtypes (a checkpoint never changes a parameter's dtype)."""
+    """Assign checkpoint arrays onto a module's parameters. The checkpoint
+    must hold exactly the module's parameter names, with their shapes and
+    dtypes (a checkpoint never changes a parameter's dtype); nothing is
+    assigned unless all of it matches."""
     weights = load_checkpoint(ckpt_dir)
-    for name, p in module.named_parameters():
+    params = list(module.named_parameters())
+    for name, p in params:
         if name not in weights:
             raise CheckpointError(f"checkpoint missing parameter '{name}'")
         arr = weights[name]
@@ -111,5 +114,10 @@ def load_into(module, ckpt_dir):
         if arr.dtype != p.data.dtype:
             raise CheckpointError(
                 f"parameter '{name}': checkpoint dtype {arr.dtype} != model {p.data.dtype}")
-        p.data = arr
+    extra = sorted(weights.keys() - {name for name, _ in params})
+    if extra:
+        raise CheckpointError(
+            "checkpoint has parameters the model lacks: " + ", ".join(map(repr, extra)))
+    for name, p in params:
+        p.data = weights[name]
     return module

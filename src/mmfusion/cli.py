@@ -67,9 +67,13 @@ def load_config(args) -> RunConfig:
 
 
 def _dataset_for(cfg):
+    """The run's dataset and the config to build its model from: a loaded
+    dataset replaces the config's ``data`` section with its own spec, so the
+    model is sized from the data it sees."""
     if cfg.dataset_path:
-        return load_dataset(cfg.dataset_path)
-    return generate(cfg.data)
+        dataset = load_dataset(cfg.dataset_path)
+        return replace(cfg, data=dataset.spec), dataset
+    return cfg, generate(cfg.data)
 
 
 def _write_loss_history(history, path):
@@ -115,16 +119,14 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args)
-    dataset = _dataset_for(cfg)
+    cfg, dataset = _dataset_for(load_config(args))
     _train_once(cfg, dataset, out_dir=args.out)
     print(f"artifacts written to {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg = load_config(args)
-    dataset = _dataset_for(cfg)
+    cfg, dataset = _dataset_for(load_config(args))
     model = MultimodalClassifier(cfg, vocab_size=len(dataset.vocab))
     load_into(model, args.checkpoint)
     report = evaluate_metrics(model, dataset.split("test"), len(dataset.vocab),
@@ -157,8 +159,7 @@ def _run_grid(variants, dataset, out_dir, csv_name, fieldnames):
 
 
 def cmd_ablate(args):
-    cfg = load_config(args)
-    dataset = _dataset_for(cfg)
+    cfg, dataset = _dataset_for(load_config(args))
     os.makedirs(args.out, exist_ok=True)
     variants = []
     for ham, rm, mlf in itertools.product((True, False), repeat=3):
@@ -181,7 +182,7 @@ def cmd_gamma_sweep(args):
     bad = [g for g in grid if not 0.0 <= g <= 0.5]
     if bad:
         raise ConfigError([f"gamma grid values outside [0, 0.5]: {bad}"])
-    dataset = _dataset_for(cfg)
+    cfg, dataset = _dataset_for(cfg)
     os.makedirs(args.out, exist_ok=True)
     variants = [({"gamma": _fmt(gamma)},
                  replace(cfg, decision=replace(cfg.decision, gamma=gamma)), None)

@@ -384,9 +384,10 @@ def load_dataset(in_dir) -> Dataset:
     Anything that does not describe a whole dataset raises
     ``DatasetIOError``: an unreadable file, a ``dataset.json`` that is not a
     JSON object with the fields ``save_dataset`` writes, an embedded spec
-    that ``fields.from_dict`` rejects, a sample record without an integer
-    ``offset``/``length``/``label``, a token list or a ``split`` string, or
-    image bytes that do not fit the record.
+    that ``fields.from_dict`` rejects or whose ``validate`` reports a
+    problem, an ``image_shape`` other than the spec's, a sample record
+    without an integer ``offset``/``length``/``label``, a token list or a
+    ``split`` string, or image bytes that do not fit the record.
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -406,9 +407,13 @@ def load_dataset(in_dir) -> Dataset:
         spec = from_dict(SyntheticSpec(), doc["spec"])
     except ConfigError as exc:
         raise DatasetIOError(f"corrupt spec in {in_dir}/dataset.json: {exc}") from exc
-    shape = tuple(doc["image_shape"])
-    if len(shape) != 3 or not all(is_int(n) and n >= 1 for n in shape):
-        raise DatasetIOError(f"corrupt image_shape {doc['image_shape']!r} in {in_dir}")
+    problems = spec.validate()
+    if problems:
+        raise DatasetIOError(f"invalid spec in {in_dir}/dataset.json: {'; '.join(problems)}")
+    shape = (spec.image_size, spec.image_size, spec.channels)
+    if tuple(doc["image_shape"]) != shape:
+        raise DatasetIOError(
+            f"image_shape {doc['image_shape']!r} in {in_dir} does not match its spec")
     expected = int(np.prod(shape)) * 4
     samples = []
     for i, rec in enumerate(doc["samples"]):

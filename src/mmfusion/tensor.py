@@ -1,12 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every operation builds a node in an implicit computation graph (tensors keep
-references to their parents plus a closure that maps the upstream gradient to
-parent gradients). ``backward`` walks the graph once in reverse topological
-order and accumulates gradients on the graph's leaves only: tensors created
-with ``requires_grad=True`` (parameters and inputs). Interior results never
-hold a ``.grad``. Inside ``with no_grad():`` operations record no parents and
-no closure, so inference builds no graph at all.
+The graph is kept apart from the data. A tracked op result is a ``Tensor``
+that owns its array plus a small graph vertex (``_Vertex``) that holds only
+the vertices of its parents and a closure mapping the upstream gradient to
+parent gradients. A leaf (a parameter or input created with
+``requires_grad=True``) is its own vertex, so its gradient lands on the
+tensor; every constant operand is one shared placeholder vertex. Closures
+capture only the arrays and the shape, dtype or flag values their backward
+reads, never an operand ``Tensor``, so an op result that no backward reads
+is freed as soon as the forward code drops it instead of living as long as
+the graph.
+
+``backward`` walks the vertices once in reverse topological order and
+accumulates gradients on the graph's leaves only; interior results never
+hold a ``.grad``. ``Tensor._parents`` and ``Tensor._backward`` read through
+to the vertex. Inside ``with no_grad():`` operations record no vertex, so
+inference builds no graph at all.
 
 Conventions kept deliberately narrow so the gradient code stays auditable:
 
@@ -64,14 +73,23 @@ class Tensor:
     them and graph construction prunes paths that only lead to constants.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_vertex")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._vertex = None
+
+    @property
+    def _parents(self):
+        """Parent vertices of a tracked op result; () for leaves and constants."""
+        return () if self._vertex is None else self._vertex._parents
+
+    @property
+    def _backward(self):
+        """Backward closure of a tracked op result; None for leaves and constants."""
+        return None if self._vertex is None else self._vertex._backward
 
     @property
     def shape(self):
@@ -124,6 +142,29 @@ def no_grad():
         _grad_enabled = previous
 
 
+class _Vertex:
+    """Graph record of one tracked op result: parent vertices and the
+    backward closure, no data. Interior vertices never hold a gradient."""
+
+    __slots__ = ("_parents", "_backward", "requires_grad")
+    grad = None
+
+    def __init__(self, parents, backward_fn, requires_grad=True):
+        self._parents = parents
+        self._backward = backward_fn
+        self.requires_grad = requires_grad
+
+
+# the one vertex standing for every constant operand; backward never enters it
+_CONSTANT = _Vertex((), None, requires_grad=False)
+
+
+def _vertex_of(t):
+    if not t.requires_grad:
+        return _CONSTANT
+    return t if t._vertex is None else t._vertex
+
+
 def _result(data, parents, backward_fn):
     """Wrap an op's output; ``data`` that is already a float32/float64 array
     is taken as is, anything else goes through the usual conversion."""
@@ -134,15 +175,17 @@ def _result(data, parents, backward_fn):
     out.grad = None
     tracked = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = tracked
-    out._parents = tuple(parents) if tracked else ()
-    out._backward = backward_fn if tracked else None
+    out._vertex = (_Vertex(tuple(_vertex_of(p) for p in parents), backward_fn)
+                   if tracked else None)
     return out
 
 
 def _check_same_dtype(op, *tensors):
-    dtypes = {t.data.dtype for t in tensors}
-    if len(dtypes) > 1:
-        raise DtypeError(f"{op}: mixed dtypes {sorted(str(d) for d in dtypes)}")
+    first = tensors[0].data.dtype
+    for t in tensors:
+        if t.data.dtype != first:
+            dtypes = {t.data.dtype for t in tensors}
+            raise DtypeError(f"{op}: mixed dtypes {sorted(str(d) for d in dtypes)}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +199,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         nd = b.data.ndim
         if nd == 0 or a.data.ndim < nd or a.shape[a.data.ndim - nd:] != b.shape:
             raise ShapeError(f"add: shape {a.shape} incompatible with {b.shape}")
-    lead = a.data.ndim - b.data.ndim
+    lead = tuple(range(a.data.ndim - b.data.ndim))
 
     def backward_fn(g):
-        gb = g
-        if a.shape != b.shape:
-            gb = g.sum(axis=tuple(range(lead))) if lead else g
-        return g, gb
+        return g, (g.sum(axis=lead) if lead else g)
 
     return _result(a.data + b.data, (a, b), backward_fn)
 
@@ -172,11 +212,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("mul", a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape {a.shape} != {b.shape}")
+    ad, bd = a.data, b.data
 
     def backward_fn(g):
-        return g * b.data, g * a.data
+        return g * bd, g * ad
 
-    return _result(a.data * b.data, (a, b), backward_fn)
+    return _result(ad * bd, (a, b), backward_fn)
 
 
 def scale(x: Tensor, c) -> Tensor:
@@ -196,11 +237,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
 
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
-    return _result(a.data @ b.data, (a, b), backward_fn)
+    return _result(ad @ bd, (a, b), backward_fn)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -210,11 +252,12 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bmm: expects 3-D operands, got {a.shape} and {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
     def backward_fn(g):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
 
-    return _result(a.data @ b.data, (a, b), backward_fn)
+    return _result(ad @ bd, (a, b), backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -227,13 +270,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
+    xd = x.data
+    if np.any(xd <= 0):
         raise ValueError("log: input must be strictly positive; clamp first")
 
     def backward_fn(g):
-        return (g / x.data,)
+        return (g / xd,)
 
-    return _result(np.log(x.data), (x,), backward_fn)
+    return _result(np.log(xd), (x,), backward_fn)
 
 
 def clip_min(x: Tensor, floor: float) -> Tensor:
@@ -252,13 +296,20 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
 
 def _softmax_forward(x, axis, where):
     """Max-stabilized softmax of array ``x`` along a non-negative ``axis``;
-    ``where`` names the input in the non-finite error."""
-    if not np.all(np.isfinite(x)):
+    ``where`` names the input in the non-finite error.
+
+    A NaN or +inf makes its row's max non-finite and a -inf makes the global
+    min non-finite, so the two reductions stand in for a full finiteness
+    mask; the result is built in one buffer.
+    """
+    top = x.max(axis=axis, keepdims=True)
+    if not (np.isfinite(top).all() and np.isfinite(x.min())):
         bad = int(np.sum(~np.isfinite(x)))
         raise NonFiniteError(f"{where} has {bad} non-finite entries")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, top)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_backward(y, g, axis):
@@ -292,20 +343,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must be shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the arithmetic of np.mean and np.var, centring once
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = np.square(centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
+    gd = gain.data
+    axes = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g):
-        gy = g * gain.data
+        gy = g * gd
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gy - m1 - xhat * m2)
-        axes = tuple(range(x.data.ndim - 1))
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), backward_fn)
+    return _result(xhat * gd + bias.data, (x, gain, bias), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +380,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: input width of {x.shape} != d_in {d_in}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"linear: bias must be shape ({d_out},), got {bias.shape}")
-    flat_in = x.data.ndim != 2
+    x_shape, wd = x.shape, weight.data
+    flat_in = len(x_shape) != 2
+    need_gx, has_bias = x.requires_grad, bias is not None
     rows = x.data.reshape(-1, d_in) if flat_in else x.data
-    out = rows @ weight.data
+    out = rows @ wd
     if flat_in:
-        out = out.reshape(x.shape[:-1] + (d_out,))
-    if bias is not None:
-        out = out + bias.data
+        out = out.reshape(x_shape[:-1] + (d_out,))
+    if has_bias:
+        out += bias.data
 
     def backward_fn(g):
         g_rows = g.reshape(-1, d_out) if flat_in else g
         gx = None
-        if x.requires_grad:
-            gx = g_rows @ weight.data.T
+        if need_gx:
+            gx = g_rows @ wd.T
             if flat_in:
-                gx = gx.reshape(x.shape)
+                gx = gx.reshape(x_shape)
         grads = (gx, rows.T @ g_rows)
-        if bias is None:
+        if not has_bias:
             return grads
         return grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
 
@@ -381,14 +436,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None):
     def merge(a, L):      # [B*h, L, dh] -> [B, L, d]
         return a.reshape(B, h, L, dh).transpose(0, 2, 1, 3).reshape(B, L, d)
 
-    qh, kh, vh = split(q.data, Lq), split(k.data, Lk), split(v.data, Lk)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
         if key_mask.shape != (B, Lk):
             raise ShapeError(f"attention: key_mask shape {key_mask.shape} != ({B}, {Lk})")
-        gate = np.where(key_mask[:, None, None, :], 0.0, -1e9).astype(scores.dtype)
-        scores = (scores.reshape(B, h, Lq, Lk) + gate).reshape(B * h, Lq, Lk)
+    qh, kh, vh = split(q.data, Lq), split(k.data, Lk), split(v.data, Lk)
+    scores = qh @ kh.transpose(0, 2, 1)     # a fresh contiguous array
+    scores *= scale
+    if key_mask is not None:
+        per_head = scores.reshape(B, h, Lq, Lk)     # a view of scores
+        per_head += np.where(key_mask[:, None, None, :], 0.0, -1e9).astype(scores.dtype)
     y = _softmax_forward(scores, 2, "attention: softmax input")
 
     def backward_fn(g):
@@ -429,7 +486,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, window: int) -> Tensor:
     steps = n - window + 1
     # windows[b, t] = concat(x[b, t], ..., x[b, t+window-1])
     windows = np.concatenate([data[:, j:j + steps, :] for j in range(window)], axis=2)
-    pre = windows.reshape(B * steps, window * d_in) @ weight.data + bias.data
+    wd, dtype = weight.data, data.dtype
+    pre = windows.reshape(B * steps, window * d_in) @ wd + bias.data
     mask = pre > 0
     out = np.maximum(pre, 0).reshape(B, steps, d_out)
 
@@ -437,8 +495,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, window: int) -> Tensor:
         gp = g.reshape(B * steps, d_out) * mask
         gw = windows.reshape(B * steps, window * d_in).T @ gp
         gb = gp.sum(axis=0)
-        gwin = (gp @ weight.data.T).reshape(B, steps, window * d_in)
-        gx = np.zeros_like(data)
+        gwin = (gp @ wd.T).reshape(B, steps, window * d_in)
+        gx = np.zeros((B, n, d_in), dtype)
         for j in range(window):
             gx[:, j:j + steps, :] += gwin[:, :, j * d_in:(j + 1) * d_in]
         return gx[0] if squeeze else gx, gw, gb
@@ -473,9 +531,10 @@ def max_pool(x: Tensor, axis: int) -> Tensor:
     """Max along ``axis``; gradient routes to the first argmax on ties."""
     axis = _check_axis("max_pool", x, axis)
     idx = np.argmax(x.data, axis=axis)
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return (gx,)
 
@@ -485,8 +544,10 @@ def max_pool(x: Tensor, axis: int) -> Tensor:
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over everything (scalar) when axis is None."""
     if axis is None:
+        shape, dtype = x.shape, x.data.dtype
+
         def backward_all(g):
-            return (np.broadcast_to(g, x.shape).astype(x.data.dtype),)
+            return (np.broadcast_to(g, shape).astype(dtype),)
 
         return _result(x.data.sum(), (x,), backward_all)
     axis = _check_axis("tsum", x, axis)
@@ -506,11 +567,12 @@ def concat(xs, axis: int = 0) -> Tensor:
     axis = axis if axis >= 0 else xs[0].data.ndim + axis
     sizes = [t.shape[axis] for t in xs]
     offsets = np.cumsum([0] + sizes)
+    parts = len(xs)
 
     def backward_fn(g):
         slicer = [slice(None)] * g.ndim
         grads = []
-        for i in range(len(xs)):
+        for i in range(parts):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             grads.append(g[tuple(slicer)])
         return tuple(grads)
@@ -519,10 +581,10 @@ def concat(xs, axis: int = 0) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, x_shape = tuple(shape), x.shape
 
     def backward_fn(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _result(x.data.reshape(shape), (x,), backward_fn)
 
@@ -547,9 +609,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     slicer = [slice(None)] * x.data.ndim
     slicer[axis] = slice(start, start + length)
     slicer = tuple(slicer)
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[slicer] = g
         return (gx,)
 
@@ -564,10 +627,11 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(
             f"embedding: id out of range [0, {table.shape[0]}) in lookup")
+    shape, dtype = table.shape, table.data.dtype
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        gt = np.zeros(shape, dtype)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[1]))
         return (gt,)
 
     return _result(table.data[ids], (table,), backward_fn)
@@ -581,9 +645,10 @@ def pick(x: Tensor, idx) -> Tensor:
     if idx.shape != (x.shape[0],):
         raise ShapeError(f"pick: index shape {idx.shape} != ({x.shape[0]},)")
     rows = np.arange(x.shape[0])
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[rows, idx] = g
         return (gx,)
 
@@ -606,19 +671,21 @@ def backward(loss: Tensor, grad=None) -> None:
     tensor with ``requires_grad=True`` that no op produced (parameters and
     inputs).
 
-    Interior results pass their gradient on to their parents and keep none;
-    their ``.grad`` stays None. Repeated calls add up on the leaves; callers
-    zero gradients between steps.
+    The walk covers graph vertices, which hold no data: interior results
+    pass their gradient on to their parents and keep none, their ``.grad``
+    stays None. Repeated calls add up on the leaves; callers zero gradients
+    between steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    root = _vertex_of(loss)
 
     # iterative DFS topological sort (graphs can be deep)
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -633,7 +700,7 @@ def backward(loss: Tensor, grad=None) -> None:
                 stack.append((parent, False))
 
     seed = np.ones_like(loss.data) if grad is None else np.asarray(grad, dtype=loss.data.dtype)
-    flowing = {id(loss): seed}
+    flowing = {id(root): seed}
     for node in reversed(topo):
         g = flowing.pop(id(node), None)
         if g is None:

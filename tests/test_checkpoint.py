@@ -100,3 +100,15 @@ def test_load_into_rejects_dtype_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         load_into(target, tmp_path)
     assert target.b.data.dtype == np.float64
+
+
+def test_load_into_rejects_unexpected_keys(tmp_path):
+    save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["vote.vote_logits"] = dict(manifest["b"])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    target = TinyModule(seed=9)
+    before = target.w.data.copy()
+    with pytest.raises(CheckpointError, match="'vote.vote_logits'"):
+        load_into(target, tmp_path)
+    assert np.array_equal(target.w.data, before)

@@ -25,6 +25,10 @@ TINY = {
 }
 
 
+# the full spec TINY generates: the defaults with TINY's data fields replaced
+TINY_SPEC = {**RunConfig().to_dict()["data"], **TINY["data"]}
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
@@ -128,6 +132,16 @@ class TestGenerateAndEval:
         trained = json.loads(open(os.path.join(run_dir, "metrics.json")).read())
         assert report["accuracy"] == trained["accuracy"]
 
+    def test_model_is_sized_from_the_loaded_dataset(self, tiny_config, tmp_path):
+        # TINY's 8x8 images and 3 classes, trained with the default config
+        data_dir = str(tmp_path / "ds")
+        assert main(["generate", "--config", tiny_config, "--out", data_dir]) == 0
+        run_dir = str(tmp_path / "run")
+        assert main(["train", "--data", data_dir, "--epochs", "1", "--out", run_dir]) == 0
+        recorded = json.loads(open(os.path.join(run_dir, "run_config.json")).read())
+        assert recorded["data"] == json.loads(json.dumps(TINY_SPEC))
+        assert recorded["text_encoder"] == RunConfig().to_dict()["text_encoder"]
+
     def test_generate_from_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(TINY["data"]))
@@ -194,6 +208,12 @@ def _unknown_dtype(manifest):
     return json.dumps(manifest)
 
 
+def _extra_entry(manifest):
+    # what a hybrid checkpoint with the removed learned vote carried
+    manifest["vote.vote_logits"] = dict(next(iter(manifest.values())))
+    return json.dumps(manifest)
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")
@@ -208,9 +228,9 @@ class TestCorruptCheckpoint:
         lambda m: json.dumps(m)[:len(json.dumps(m)) // 2],
         lambda m: "[1, 2]",
         _drop("offset"), _drop("length"), _drop("shape"), _drop("dtype"),
-        _unknown_dtype,
+        _unknown_dtype, _extra_entry,
     ], ids=["partial", "not_an_object", "no_offset", "no_length", "no_shape",
-            "no_dtype", "unknown_dtype"])
+            "no_dtype", "unknown_dtype", "extra_entry"])
     def test_eval_exits_4(self, trained_checkpoint, tmp_path, capsys, mutate):
         config, good = trained_checkpoint
         bad = tmp_path / "checkpoint"
@@ -236,10 +256,22 @@ def _unknown_spec_field(doc):
     return json.dumps(doc)
 
 
+def _invalid_spec(doc):
+    doc["spec"]["patch_size"] = 3       # does not divide the 8-pixel images
+    return json.dumps(doc)
+
+
+def _image_shape_not_the_spec_s(doc):
+    doc["spec"]["image_size"] = 16
+    return json.dumps(doc)
+
+
 class TestCorruptDataset:
     @pytest.mark.parametrize("mutate", [_truncate_to_spec, _drop_first_offset,
-                                        _unknown_spec_field],
-                             ids=["truncated", "record_without_offset", "bad_spec"])
+                                        _unknown_spec_field, _invalid_spec,
+                                        _image_shape_not_the_spec_s],
+                             ids=["truncated", "record_without_offset", "bad_spec",
+                                  "invalid_spec", "image_shape_mismatch"])
     def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
         data_dir = tmp_path / "ds"
         assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0

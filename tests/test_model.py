@@ -1,3 +1,6 @@
+import os
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +11,10 @@ from mmfusion.model import (ConfigError, DecisionSettings, EncoderConfig,
                             TrainerSettings)
 from mmfusion.train import (TrainingDiverged, build_optimizer, evaluate,
                             evaluate_metrics, train_model)
-from mmfusion.tensor import backward
+from mmfusion.tensor import Tensor, backward
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def tiny_cfg(**kw):
@@ -160,21 +166,83 @@ def interior_nodes(loss):
     return count
 
 
+def default_training_step():
+    """(model, loss) of one default-config training step, before backward."""
+    cfg = RunConfig()
+    ds = generate(cfg.data)
+    model = MultimodalClassifier(cfg, vocab_size=len(ds.vocab))
+    batch = ds.split("train")[:cfg.trainer.batch_size]
+    tb, ib = model.batches_for(batch, len(ds.vocab))
+    preds = model.forward_batch(tb, ib, training=True, rng=np.random.default_rng(0))
+    total, _ = model.loss(preds, labels_of(batch))
+    return model, total
+
+
+def vertices_below(loss):
+    """Every vertex ``backward`` visits below the loss tensor."""
+    seen, stack = {}, [p for p in loss._parents if p.requires_grad]
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            stack.extend(p for p in v._parents if p.requires_grad)
+    return list(seen.values())
+
+
+def closure_values(fn):
+    """Values held by ``fn``'s closure cells, following nested functions."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        yield value
+        if isinstance(value, types.FunctionType):
+            yield from closure_values(value)
+
+
 class TestGraph:
     def test_default_training_step_graph(self):
-        cfg = RunConfig()
-        ds = generate(cfg.data)
-        model = MultimodalClassifier(cfg, vocab_size=len(ds.vocab))
-        batch = ds.split("train")[:cfg.trainer.batch_size]
-        tb, ib = model.batches_for(batch, len(ds.vocab))
-        preds = model.forward_batch(tb, ib, training=True, rng=np.random.default_rng(0))
-        total, _ = model.loss(preds, labels_of(batch))
+        model, total = default_training_step()
         # linear, attention and masked_mean each record one node
         assert interior_nodes(total) == 136
         backward(total)
         params = list(model.parameters())
         assert all(p.grad is not None for p in params)
         assert sum(p.grad.size for p in params) == model.parameter_count()
+
+    def test_graph_holds_no_op_results(self):
+        """A vertex keeps no data and a closure no operand tensor, so an op
+        result that no backward reads dies with its last forward reference."""
+        model, total = default_training_step()
+        vertices = vertices_below(total)
+        params = {id(p) for p in model.parameters()}
+        interior = [v for v in vertices if v._backward is not None]
+        assert len(interior) + 1 == 136
+        assert {id(v) for v in vertices if v._backward is None} <= params
+        for v in interior:
+            assert not hasattr(v, "data"), v._backward.__qualname__
+        for fn in [total._backward] + [v._backward for v in interior]:
+            held = [x for x in closure_values(fn) if isinstance(x, Tensor)]
+            assert not held, (fn.__qualname__, held)
+
+    def test_bench_tracer_reads_the_graph(self, monkeypatch):
+        """The per-layer benchmark's census (``perfbench/tracer.py``, imported
+        the way ``perfbench/run.py`` imports it) sees today's counts."""
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import tracer
+        model, total = default_training_step()
+        nodes = tracer.reachable([total])
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) == 136
+        assert tracer.op_census(interior) == {
+            "add": 20, "clip_min": 3, "concat": 5, "conv1d": 3,
+            "elastic_net_channel": 2, "embedding": 1, "layer_norm": 12, "log": 3,
+            "max_pool": 3, "mean_pool": 1, "mul": 2, "narrow": 3, "other": 52,
+            "pick": 3, "relu": 7, "reshape": 5, "scale": 5, "softmax": 3, "tsum": 3}
+        backward(total)
+        grads = [n.grad for n in nodes if n.grad is not None]
+        params = list(model.parameters())
+        assert len(grads) == len(params) == 97
+        assert sum(g.nbytes for g in grads) == 233_840
+        assert {id(g) for g in grads} == {id(p.grad) for p in params}
 
     def test_evaluate_matches_grad_mode_forward_and_builds_no_graph(self, tiny_dataset):
         model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))

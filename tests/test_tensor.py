@@ -97,11 +97,65 @@ class TestSoftmax:
             T.softmax(t64([np.inf, 1.0]), axis=0)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan],
+                                     ids=["neg_inf", "pos_inf", "nan"])
+
+
+class TestNonFiniteCount:
+    """The check reads a row max and the global min instead of a full mask;
+    each kind of non-finite value must still raise with the exact count. A
+    -inf beside finite entries leaves the row max finite."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_some_entries(self, bad, dtype):
+        x = np.random.default_rng(5).standard_normal((3, 4, 5)).astype(dtype)
+        x[0, 1, 2] = x[2, 3, 0] = x[2, 3, 4] = bad
+        with pytest.raises(T.NonFiniteError, match=r"has 3 non-finite entries"):
+            T.softmax(Tensor(x), axis=-1)
+
+    @NON_FINITE
+    def test_softmax_every_entry(self, bad):
+        with pytest.raises(T.NonFiniteError, match=r"has 6 non-finite entries"):
+            T.softmax(t64(np.full((2, 3), bad)), axis=0)
+
+    @NON_FINITE
+    def test_attention_scores(self, bad):
+        # key 1 of batch 0 meets positive query entries in head 0, so its
+        # score is non-finite for each of the 3 queries; the rest are finite
+        rng = np.random.default_rng(6)
+        q = np.abs(rng.standard_normal((2, 3, 4))) + 0.1
+        k, v = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))
+        k[0, 1, 0] = bad
+        with pytest.raises(T.NonFiniteError,
+                           match=r"attention: softmax input has 3 non-finite entries"):
+            T.attention(t64(q), t64(k), t64(v), 2, key_mask=np.ones((2, 5), bool))
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
 
+def layer_norm_reference(x, gain, bias, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 32, 100])
+    def test_bit_identical_to_mean_var_reference(self, dtype, d):
+        rng = np.random.default_rng(d)
+        for shift, spread in ((0.0, 1.0), (1e3, 1e-2), (-5.0, 1e4)):
+            x = (shift + spread * rng.standard_normal((4, 3, d))).astype(dtype)
+            gain = rng.standard_normal(d).astype(dtype)
+            bias = rng.standard_normal(d).astype(dtype)
+            out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-5).data
+            expect = layer_norm_reference(x, gain, bias, 1e-5)
+            assert out.dtype == expect.dtype == dtype
+            assert np.array_equal(out, expect)
+
     def test_constant_vector_is_zeroed(self):
         x = t64([5.0, 5.0, 5.0, 5.0])
         out = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), eps=1e-5)
