@@ -69,10 +69,10 @@ def load_config(args) -> RunConfig:
 def _dataset_for(cfg):
     """The run's dataset and the config to build its model from: a loaded
     dataset replaces the config's ``data`` section with its own spec, so the
-    model is sized from the data it sees."""
+    model is sized from the data it sees and checked against it."""
     if cfg.dataset_path:
         dataset = load_dataset(cfg.dataset_path)
-        return replace(cfg, data=dataset.spec), dataset
+        return replace(cfg, data=dataset.spec).require_valid(), dataset
     return cfg, generate(cfg.data)
 
 

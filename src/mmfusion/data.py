@@ -26,6 +26,10 @@ from .fields import ConfigError, bounded, field_problems, from_dict, is_int
 _WS = re.compile(r"\s+")
 
 
+MIN_TEXT_WIDTH = 3                    # a text batch is padded to this many tokens or more
+SPLITS = ("train", "val", "test")     # the splits a sample record may name
+
+
 class DatasetError(ValueError):
     pass
 
@@ -320,7 +324,7 @@ def preprocess_image(raw, side: int) -> np.ndarray:
 # batching
 # ---------------------------------------------------------------------------
 
-def make_text_batch(samples, vocab_size, min_len=3) -> TextBatch:
+def make_text_batch(samples, vocab_size, min_len=MIN_TEXT_WIDTH) -> TextBatch:
     width = max(min_len, max(len(s.tokens) for s in samples))
     ids = np.full((len(samples), width), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(samples), width), dtype=bool)
@@ -378,6 +382,20 @@ _RECORD_FIELDS = {"offset": is_int, "length": is_int, "label": is_int,
                   "tokens": lambda v: isinstance(v, list) and all(map(is_int, v))}
 
 
+def _record_problem(rec, spec, n_words):
+    """Why the model cannot consume a well-typed sample record, or None."""
+    tokens = rec["tokens"]
+    if not 0 <= rec["label"] < spec.n_classes:
+        return f"label {rec['label']} outside [0, {spec.n_classes})"
+    if rec["split"] not in SPLITS:
+        return f"split {rec['split']!r} is not one of {SPLITS}"
+    if not 1 <= len(tokens) <= spec.sentence_len[1]:
+        return f"{len(tokens)} tokens, not 1 to {spec.sentence_len[1]}"
+    if not all(0 <= t < n_words for t in tokens):
+        return f"token ids {tokens} not all in [0, {n_words})"
+    return None
+
+
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory back.
 
@@ -387,7 +405,10 @@ def load_dataset(in_dir) -> Dataset:
     that ``fields.from_dict`` rejects or whose ``validate`` reports a
     problem, an ``image_shape`` other than the spec's, a sample record
     without an integer ``offset``/``length``/``label``, a token list or a
-    ``split`` string, or image bytes that do not fit the record.
+    ``split`` string, a record the model cannot consume (a label outside
+    the spec's classes, a split not in ``SPLITS``, an empty token list or
+    one longer than ``sentence_len`` allows, a token id outside the
+    vocabulary), or image bytes that do not fit the record.
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -422,6 +443,9 @@ def load_dataset(in_dir) -> Dataset:
             raise DatasetIOError(
                 f"corrupt sample record {i}: needs integer offset, length and label, "
                 f"a token list and a split name, got {rec!r}")
+        problem = _record_problem(rec, spec, len(doc["vocab"]))
+        if problem:
+            raise DatasetIOError(f"sample record {i} in {in_dir}: {problem}")
         start, length = rec["offset"], rec["length"]
         if start < 0 or length != expected or start + length > len(blob):
             raise DatasetIOError(

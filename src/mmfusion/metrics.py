@@ -44,10 +44,13 @@ def confusion_matrix(pred, labels, n_classes):
 
 def compute_metrics(fused_probs, labels, n_classes=None) -> MetricsReport:
     """Score argmax predictions (ties break to the lowest class index) and
-    sweep per-class thresholds for PR curves.
+    trace each class's one-vs-rest PR curve.
 
     A class absent from both predictions and labels gets precision and recall
-    0 and is listed under ``degenerate_classes``.
+    0 and is listed under ``degenerate_classes``. A curve has one point per
+    distinct score, in descending order: flagging every sample that scores at
+    least that much gives precision tp / flagged and recall tp / positives
+    (0 for a class without positives). Scores are assumed finite.
     """
     fused_probs = np.asarray(fused_probs)
     labels = np.asarray(labels)
@@ -56,41 +59,27 @@ def compute_metrics(fused_probs, labels, n_classes=None) -> MetricsReport:
     if len(labels) == 0:
         raise ValueError("compute_metrics: empty evaluation set")
     n_cls = n_classes or fused_probs.shape[1]
-    pred = np.argmax(fused_probs, axis=1)
-    m = confusion_matrix(pred, labels, n_cls)
+    if labels.min() < 0 or labels.max() >= n_cls:
+        raise ValueError(f"compute_metrics: labels must lie in [0, {n_cls})")
+    m = confusion_matrix(np.argmax(fused_probs, axis=1), labels, n_cls)
 
     accuracy = float(np.trace(m) / m.sum())
-    precision, recall, degenerate = [], [], []
-    for c in range(n_cls):
-        tp = m[c, c]
-        pred_c = m[:, c].sum()
-        true_c = m[c, :].sum()
-        if pred_c == 0 and true_c == 0:
-            degenerate.append(c)
-            precision.append(0.0)
-            recall.append(0.0)
-            continue
-        precision.append(float(tp / pred_c) if pred_c else 0.0)
-        recall.append(float(tp / true_c) if true_c else 0.0)
+    tp, pred_c, true_c = np.diag(m), m.sum(axis=0), m.sum(axis=1)
+    precision = (tp / np.maximum(pred_c, 1)).tolist()
+    recall = (tp / np.maximum(true_c, 1)).tolist()
+    degenerate = np.flatnonzero((pred_c == 0) & (true_c == 0)).tolist()
     macro_p = float(np.mean(precision))
     macro_r = float(np.mean(recall))
     macro_f1 = 0.0 if macro_p + macro_r == 0 else 2 * macro_p * macro_r / (macro_p + macro_r)
 
     curves = {}
     for c in range(n_cls):
-        scores = fused_probs[:, c]
-        positive = labels == c
-        points = []
-        thresholds = np.unique(scores)[::-1]
-        for t in thresholds:
-            flagged = scores >= t
-            tp = int(np.sum(flagged & positive))
-            fp = int(np.sum(flagged & ~positive))
-            fn = int(np.sum(~flagged & positive))
-            prec = tp / (tp + fp) if tp + fp else 1.0
-            rec = tp / (tp + fn) if tp + fn else 0.0
-            points.append((float(t), float(prec), float(rec)))
-        curves[c] = points
+        order = np.argsort(-fused_probs[:, c], kind="stable")
+        scores = fused_probs[order, c]
+        last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+        hits = np.cumsum(labels[order] == c)[last]     # hits[-1]: every positive
+        curves[c] = list(zip(scores[last].tolist(), (hits / (last + 1)).tolist(),
+                             (hits / max(hits[-1], 1)).tolist()))
 
     return MetricsReport(accuracy=accuracy, per_class_precision=precision,
                          per_class_recall=recall, macro_precision=macro_p,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import SyntheticSpec, make_image_batch, make_text_batch
+from .data import MIN_TEXT_WIDTH, SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
@@ -80,7 +80,11 @@ class RunConfig:
 
     def validate(self):
         """Every problem of every section (``data`` only when the dataset is
-        generated from it), then the top-level fields'."""
+        generated from it), then the top-level fields'. A model that reads
+        text needs ``text_encoder.max_len`` positions for the widest padded
+        batch that ``data.sentence_len`` allows; that rule reads ``data``
+        either way, and a loaded dataset's spec replaces it before the model
+        is built."""
         problems = []
         for f in fields(self):
             section = getattr(self, f.name)
@@ -90,6 +94,13 @@ class RunConfig:
             problems.append(
                 f"encoder widths differ ({self.text_encoder.d_model} vs "
                 f"{self.image_encoder.d_model}); fusion requires equal widths")
+        text, data = self.text_encoder, self.data
+        if self.modality != "image" and not (field_problems(text) or field_problems(data)):
+            width = max(MIN_TEXT_WIDTH, data.sentence_len[1])
+            if text.max_len < width:
+                problems.append(
+                    f"text_encoder.max_len {text.max_len} is shorter than the widest "
+                    f"text batch, {width} tokens (data.sentence_len {data.sentence_len})")
         return problems + field_problems(self)
 
     def require_valid(self):

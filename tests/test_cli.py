@@ -142,6 +142,16 @@ class TestGenerateAndEval:
         assert recorded["data"] == json.loads(json.dumps(TINY_SPEC))
         assert recorded["text_encoder"] == RunConfig().to_dict()["text_encoder"]
 
+    def test_sentences_longer_than_max_len_exit_2(self, tiny_config, tmp_path, capsys):
+        # TINY's text encoder has 16 positions; the saved sentences run to 20
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**TINY["data"], "sentence_len": [3, 20]}))
+        data_dir = str(tmp_path / "ds")
+        assert main(["generate", "--spec", str(spec_path), "--out", data_dir]) == 0
+        assert main(["train", "--config", tiny_config, "--data", data_dir,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "text_encoder.max_len 16 is shorter" in capsys.readouterr().err
+
     def test_generate_from_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(TINY["data"]))
@@ -177,6 +187,7 @@ class TestMalformedInput:
         ("data", {"split_ratios": [1.5, -0.5, 0.0]}, "split_ratios entries must be in"),
         ("data", {"split_ratios": [1.0, 0.0, 0.0]}, "without a train or test sample"),
         ("fusion", {"d_f": None}, "unknown fields ['d_f']"),
+        ("data", {"sentence_len": [3, 17]}, "text_encoder.max_len 16 is shorter"),
     ])
     def test_mistyped_config_field_exits_2(self, tmp_path, capsys, section, fields, needle):
         doc = json.loads(json.dumps(TINY))
@@ -266,12 +277,27 @@ def _image_shape_not_the_spec_s(doc):
     return json.dumps(doc)
 
 
+def _first_record(**changes):
+    def mutate(doc):
+        doc["samples"][0].update(changes)
+        return json.dumps(doc)
+    return mutate
+
+
+def _token_outside_vocab(doc):
+    doc["samples"][0]["tokens"][0] = len(doc["vocab"])
+    return json.dumps(doc)
+
+
 class TestCorruptDataset:
-    @pytest.mark.parametrize("mutate", [_truncate_to_spec, _drop_first_offset,
-                                        _unknown_spec_field, _invalid_spec,
-                                        _image_shape_not_the_spec_s],
-                             ids=["truncated", "record_without_offset", "bad_spec",
-                                  "invalid_spec", "image_shape_mismatch"])
+    @pytest.mark.parametrize("mutate", [
+        _truncate_to_spec, _drop_first_offset, _unknown_spec_field, _invalid_spec,
+        _image_shape_not_the_spec_s, _first_record(label=3), _first_record(label=-1),
+        _first_record(split="holdout"), _first_record(tokens=[]),
+        _first_record(tokens=[2] * 6), _token_outside_vocab,
+    ], ids=["truncated", "record_without_offset", "bad_spec", "invalid_spec",
+            "image_shape_mismatch", "label_too_large", "negative_label",
+            "unknown_split", "no_tokens", "too_many_tokens", "token_outside_vocab"])
     def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
         data_dir = tmp_path / "ds"
         assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmfusion.data import SyntheticSpec
+from mmfusion.data import MIN_TEXT_WIDTH, SyntheticSpec
 from mmfusion.decision import VOTE_STRATEGIES
 from mmfusion.fields import ConfigError, bounded, field_problems
 from mmfusion.fusion import ATTENTION_MODES, TOPOLOGIES
@@ -57,26 +57,29 @@ def run_configs(draw):
     heads = draw(st.integers(1, 4))
     d_model = heads * draw(st.integers(1, 8))
 
-    def encoder():
+    def encoder(shortest_max_len=1):
         return EncoderConfig(
             d_model=d_model, n_heads=heads, n_layers=draw(st.integers(1, 4)),
             ffn_width=draw(st.integers(1, 128)), embedding_dim=draw(st.integers(1, 64)),
-            share_layers=draw(st.booleans()), max_len=draw(st.integers(1, 128)))
+            share_layers=draw(st.booleans()),
+            max_len=draw(st.integers(shortest_max_len, 128)))
 
     n_classes = draw(st.integers(2, 8))
     patch = draw(st.integers(1, 8))
     shortest = draw(st.integers(1, 8))
+    longest = shortest + draw(st.integers(0, 8))
     data = SyntheticSpec(
         n_classes=n_classes, samples_per_class=draw(st.integers(10, 200)),
         image_size=patch * draw(st.integers(1, 8)), patch_size=patch,
         channels=draw(st.integers(1, 3)), vocab_size=draw(st.integers(n_classes + 6, 99)),
-        sentence_len=(shortest, shortest + draw(st.integers(0, 8))),
+        sentence_len=(shortest, longest),
         image_informativeness=draw(unit), text_informativeness=draw(unit),
         noise_level=draw(unit), seed=draw(st.integers(0, 2**40)),
         split_ratios=draw(st.sampled_from(
             [(0.6, 0.1, 0.3), (0.8, 0.0, 0.2), (0.3, 0.1, 0.6), (0.5, 0.25, 0.25)])))
     return RunConfig(
-        text_encoder=encoder(), image_encoder=encoder(),
+        # the text encoder has a position for every token of the widest batch
+        text_encoder=encoder(max(MIN_TEXT_WIDTH, longest)), image_encoder=encoder(),
         fusion=FusionSettings(
             p=draw(st.floats(0, 1, exclude_min=True)), alpha=draw(rate),
             beta=draw(rate), mode=draw(st.sampled_from(ATTENTION_MODES)),

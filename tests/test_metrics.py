@@ -1,8 +1,11 @@
 import csv
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
 from mmfusion.metrics import compute_metrics, save_metrics
 
@@ -20,6 +23,21 @@ def brute_force_counts(pred, labels, n_cls):
         precision.append(m[c][c] / pred_c if pred_c else 0.0)
         recall.append(m[c][c] / true_c if true_c else 0.0)
     return np.array(m), correct / len(labels), precision, recall
+
+
+def per_threshold_curve(scores, positive):
+    """One class's PR curve recounted from scratch at every distinct score,
+    highest first."""
+    points = []
+    for t in np.unique(scores)[::-1]:
+        flagged = scores >= t
+        tp = int(np.sum(flagged & positive))
+        fp = int(np.sum(flagged & ~positive))
+        fn = int(np.sum(~flagged & positive))
+        prec = tp / (tp + fp) if tp + fp else 1.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        points.append((float(t), float(prec), float(rec)))
+    return points
 
 
 def probs_for(pred, n_cls, rng):
@@ -120,3 +138,37 @@ def test_save_metrics_writes_json_and_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["class", "threshold", "precision", "recall"]
     assert len(rows) > 1
+
+
+@st.composite
+def scored_sets(draw):
+    """Score matrices in float32 or float64 whose entries often tie, with
+    labels drawn from a subset of the classes, so some classes are absent."""
+    n_cls = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    entries = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(0, 1, width=32)
+    probs = draw(hnp.arrays(dtype, (n, n_cls), elements=entries))
+    present = draw(st.lists(st.integers(0, n_cls - 1), min_size=1, unique=True))
+    labels = np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)))
+    return probs, labels, n_cls
+
+
+@settings(deadline=None, max_examples=200)
+@given(scored_sets())
+def test_equals_per_threshold_recount(case):
+    probs, labels, n_cls = case
+    report = compute_metrics(probs, labels, n_classes=n_cls)
+    m, _, precision, recall = brute_force_counts(np.argmax(probs, axis=1), labels, n_cls)
+    assert report.per_class_precision == precision
+    assert report.per_class_recall == recall
+    assert report.degenerate_classes == [
+        c for c in range(n_cls) if m[:, c].sum() == 0 and m[c].sum() == 0]
+    assert report.pr_curves == {c: per_threshold_curve(probs[:, c], labels == c)
+                                for c in range(n_cls)}
+
+
+@pytest.mark.parametrize("labels", [[-1, 1], [0, 2]])
+def test_labels_outside_the_classes_rejected(labels):
+    with pytest.raises(ValueError, match="labels must lie in"):
+        compute_metrics(np.eye(2), np.array(labels), n_classes=2)

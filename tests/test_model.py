@@ -62,6 +62,21 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             cfg.require_valid()
 
+    @pytest.mark.parametrize("modality, max_len, longest, ok", [
+        ("multimodal", 16, 16, True), ("multimodal", 16, 17, False),
+        ("text", 16, 17, False), ("image", 16, 17, True),
+        ("text", 2, 2, False),        # text batches are padded to at least 3 tokens
+    ])
+    def test_text_positions_cover_the_widest_batch(self, modality, max_len, longest, ok):
+        cfg = tiny_cfg(modality=modality)
+        cfg.text_encoder.max_len = max_len
+        cfg.data.sentence_len = (1, longest)
+        problems = cfg.validate()
+        if ok:
+            assert problems == []
+        else:
+            assert len(problems) == 1 and problems[0].startswith("text_encoder.max_len")
+
     def test_unimodal_models_only_build_their_side(self, tiny_dataset):
         img = MultimodalClassifier(tiny_cfg(modality="image"),
                                    vocab_size=len(tiny_dataset.vocab))
@@ -243,6 +258,27 @@ class TestGraph:
         assert len(grads) == len(params) == 97
         assert sum(g.nbytes for g in grads) == 233_840
         assert {id(g) for g in grads} == {id(p.grad) for p in params}
+
+    def test_bench_hooks_find_and_restore_every_attribute(self, monkeypatch):
+        """The benchmark's hooks (``perfbench/tracer.py``) wrap attributes of
+        the package by name: installing them finds every one, and ``restore``
+        puts each original back."""
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import tracer
+        patches = tracer.Patches()
+        try:
+            tracer.Tracer().install(patches)
+            tracer.StepClock().install(patches)
+            originals = {}
+            for owner, name, original in patches._undo:
+                originals.setdefault((owner, name), original)
+            assert originals
+            for (owner, name), original in originals.items():
+                assert getattr(owner, name) is not original, (owner, name)
+        finally:
+            patches.restore()
+        for (owner, name), original in originals.items():
+            assert getattr(owner, name) is original, (owner, name)
 
     def test_evaluate_matches_grad_mode_forward_and_builds_no_graph(self, tiny_dataset):
         model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))
