@@ -408,7 +408,9 @@ def load_dataset(in_dir) -> Dataset:
     ``split`` string, a record the model cannot consume (a label outside
     the spec's classes, a split not in ``SPLITS``, an empty token list or
     one longer than ``sentence_len`` allows, a token id outside the
-    vocabulary), or image bytes that do not fit the record.
+    vocabulary), image bytes that do not fit the record, or no ``train`` or
+    no ``test`` record (training would take no step, evaluation would read
+    nothing).
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -455,6 +457,9 @@ def load_dataset(in_dir) -> Dataset:
         samples.append(Sample(image=img.reshape(shape).astype(np.float32),
                               tokens=list(rec["tokens"]), label=rec["label"],
                               split=rec["split"]))
+    missing = [name for name in ("train", "test") if all(s.split != name for s in samples)]
+    if missing:
+        raise DatasetIOError(f"dataset at {in_dir} has no {' and no '.join(missing)} records")
     return Dataset(spec=spec, samples=samples, vocab=dict(doc["vocab"]),
                    pattern_of=list(doc["pattern_of"]),
                    keyword_of=list(doc["keyword_of"]),

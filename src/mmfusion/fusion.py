@@ -209,10 +209,10 @@ class CrossModalAttention(Module):
         """Both directions over [B, L, d] sequences; ``text_mask`` marks the
         real text keys. Returns (text queries' read of the image, image
         queries' read of the text), shaped like the respective queries."""
-        from_image, _ = T.attention(
+        from_image = T.attention(
             self.q_from_text(text_query), self.k_image(image_kv),
             self.v_image(image_kv), self.n_heads)
-        from_text, _ = T.attention(
+        from_text = T.attention(
             self.q_from_image(image_query), self.k_text(text_kv),
             self.v_text(text_kv), self.n_heads, key_mask=text_mask)
         return from_image, from_text

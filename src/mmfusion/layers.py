@@ -57,9 +57,8 @@ class MultiHeadSelfAttention(Module):
         self.o_proj = Linear(d, d, rng, dtype=dtype, std=std)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        out, _ = T.attention(
-            self.q_proj(x), self.k_proj(x), self.v_proj(x), self.n_heads, key_mask)
-        return self.o_proj(out)
+        return self.o_proj(T.attention(
+            self.q_proj(x), self.k_proj(x), self.v_proj(x), self.n_heads, key_mask))
 
 
 class FeedForward(Module):

@@ -27,7 +27,12 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 ``linear`` and ``attention`` are fused composites with hand-written backward
 passes; each computes exactly the arithmetic of the primitive ops it stands
 for (reshape/matmul/add and head split/bmm/mask/softmax/bmm/head merge), so
-results are bit-identical to the unfused graph.
+results are bit-identical to the unfused graph. ``attention`` works over
+batch tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of [h, Lq, Lk]
+probabilities; when a call spans several tiles its backward recomputes the
+probabilities from each row's saved max and sum instead of keeping them,
+because at batch 64 they were the largest arrays a step graph held. A call
+of one tile keeps them, which spends no recompute where they are small.
 """
 
 from __future__ import annotations
@@ -261,12 +266,15 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0). Backward reads its mask off the output, which the op that
+    consumes it (a ``linear`` in this model) holds anyway; ``out > 0`` is
+    ``x > 0`` for every x, NaN and -0.0 included."""
+    out = np.maximum(x.data, 0)
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _result(np.maximum(x.data, 0), (x,), backward_fn)
+    return _result(out, (x,), backward_fn)
 
 
 def log(x: Tensor) -> Tensor:
@@ -294,22 +302,35 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
 # normalizers
 # ---------------------------------------------------------------------------
 
-def _softmax_forward(x, axis, where):
-    """Max-stabilized softmax of array ``x`` along a non-negative ``axis``;
-    ``where`` names the input in the non-finite error.
+def _softmax_forward(x, axis, where, out=None):
+    """Max-stabilized softmax of array ``x`` along a non-negative ``axis``,
+    built in ``out`` (``x`` itself for a caller that owns it) or a new
+    buffer; ``where`` names the input in the non-finite error. Returns the
+    probabilities with the row max and row sum they were built from, which
+    ``_softmax_recompute`` turns back into the same probabilities.
 
     A NaN or +inf makes its row's max non-finite and a -inf makes the global
     min non-finite, so the two reductions stand in for a full finiteness
-    mask; the result is built in one buffer.
+    mask.
     """
     top = x.max(axis=axis, keepdims=True)
     if not (np.isfinite(top).all() and np.isfinite(x.min())):
         bad = int(np.sum(~np.isfinite(x)))
         raise NonFiniteError(f"{where} has {bad} non-finite entries")
-    e = np.subtract(x, top)
+    e = np.subtract(x, top, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    total = e.sum(axis=axis, keepdims=True)
+    e /= total
+    return e, top, total
+
+
+def _softmax_recompute(x, top, total):
+    """The probabilities ``_softmax_forward`` returned for ``x``, bit for
+    bit, built over ``x`` in place."""
+    np.subtract(x, top, out=x)
+    np.exp(x, out=x)
+    x /= total
+    return x
 
 
 def _softmax_backward(y, g, axis):
@@ -323,7 +344,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -ndim <= axis < ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
     axis = axis % ndim
-    y = _softmax_forward(x.data, axis, "softmax: input")
+    y = _softmax_forward(x.data, axis, "softmax: input")[0]
 
     def backward_fn(g):
         return (_softmax_backward(y, g, axis),)
@@ -405,15 +426,39 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, parents, backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None):
+# Bytes of [h, Lq, Lk] softmax probabilities one attention tile may hold.
+ATTENTION_TILE_BYTES = 512 * 1024
+
+
+def _split_heads(a, h):       # [n, L, d] -> [n*h, L, d/h]
+    n, L, d = a.shape
+    return a.reshape(n, L, h, d // h).transpose(0, 2, 1, 3).reshape(n * h, L, d // h)
+
+
+def _merge_heads(dst, a, h):  # [n*h, L, dh] written into dst [n, L, h*dh]
+    n, L, d = dst.shape
+    dst.reshape(n, L, h, d // h)[...] = a.reshape(n, h, L, d // h).transpose(0, 2, 1, 3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:
     """Multi-head scaled dot-product attention in one node.
 
     q: [B, Lq, d], k/v: [B, Lk, d], already projected. Heads are split to
     [B*h, L, d/h], logits are scaled by 1/sqrt(d/h), keys where the boolean
     [B, Lk] ``key_mask`` is False get -1e9 added, rows are softmaxed and the
-    weighted values are merged back to [B, Lq, d].
+    weighted values are merged back to [B, Lq, d], which is returned.
 
-    Returns (output tensor, softmax weights as a [B*h, Lq, Lk] array).
+    The batch is worked in tiles of as many samples as keep one tile's
+    probabilities within ``ATTENTION_TILE_BYTES`` (at least one sample), and
+    the non-finite check raises at the first bad tile. Backward reads the
+    head splits of q/k/v, which stand in for the q/k/v arrays. A call that
+    fits one tile also keeps its probabilities. A call of several tiles
+    keeps only each row's softmax max and sum, and backward recomputes each
+    tile's probabilities with the same logits and subtract/exp/divide, so
+    the graph never holds the [B*h, Lq, Lk] probabilities of a large batch
+    (the FlashAttention trade of recompute for memory). Each tile is a
+    batch slice of the same arithmetic, so results do not depend on the
+    tiling.
     """
     _check_same_dtype("attention", q, k, v)
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape:
@@ -426,36 +471,53 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None):
         raise ShapeError(f"attention: query {q.shape} and key {k.shape} disagree")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    h, dh = n_heads, d // n_heads
+    h, dtype = n_heads, q.data.dtype
     # a Python float: a numpy float64 scalar would promote float32 logits
-    scale = float(1.0 / np.sqrt(dh))
-
-    def split(a, L):      # [B, L, d] -> [B*h, L, dh]
-        return a.reshape(B, L, h, dh).transpose(0, 2, 1, 3).reshape(B * h, L, dh)
-
-    def merge(a, L):      # [B*h, L, dh] -> [B, L, d]
-        return a.reshape(B, h, L, dh).transpose(0, 2, 1, 3).reshape(B, L, d)
-
+    scale = float(1.0 / np.sqrt(d // h))
+    bias = None
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
         if key_mask.shape != (B, Lk):
             raise ShapeError(f"attention: key_mask shape {key_mask.shape} != ({B}, {Lk})")
-    qh, kh, vh = split(q.data, Lq), split(k.data, Lk), split(v.data, Lk)
-    scores = qh @ kh.transpose(0, 2, 1)     # a fresh contiguous array
-    scores *= scale
-    if key_mask is not None:
-        per_head = scores.reshape(B, h, Lq, Lk)     # a view of scores
-        per_head += np.where(key_mask[:, None, None, :], 0.0, -1e9).astype(scores.dtype)
-    y = _softmax_forward(scores, 2, "attention: softmax input")
+        bias = np.where(key_mask, 0.0, -1e9).astype(dtype)
+    step = max(1, ATTENTION_TILE_BYTES // max(1, h * Lq * Lk * dtype.itemsize))
+    keep_probs = step >= B
+    qh, kh, vh = _split_heads(q.data, h), _split_heads(k.data, h), _split_heads(v.data, h)
+
+    def logits(lo, hi):     # scaled, masked logits of samples [lo, hi)
+        rows = slice(lo * h, hi * h)
+        scores = qh[rows] @ kh[rows].transpose(0, 2, 1)     # a fresh contiguous array
+        scores *= scale
+        if bias is not None:
+            per_head = scores.reshape(hi - lo, h, Lq, Lk)     # a view of scores
+            per_head += bias[lo:hi, None, None, :]
+        return scores
+
+    out = np.empty((B, Lq, d), dtype)
+    kept = []   # per tile: its bounds, then y or (row max, row sum)
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        scores = logits(lo, hi)
+        y, top, total = _softmax_forward(scores, 2, "attention: softmax input", out=scores)
+        _merge_heads(out[lo:hi], y @ vh[lo * h:hi * h], h)
+        kept.append((lo, hi, y if keep_probs else (top, total)))
 
     def backward_fn(g):
-        g_heads = split(g, Lq)
-        gs = _softmax_backward(y, g_heads @ vh.transpose(0, 2, 1), 2) * scale
-        gv = y.transpose(0, 2, 1) @ g_heads
-        gk = (qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
-        return merge(gs @ kh, Lq), merge(gk, Lk), merge(gv, Lk)
+        g_heads = _split_heads(g, h)
+        grads = tuple(np.empty(s, dtype) for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
+        gq, gk, gv = grads
+        for lo, hi, y in kept:
+            if not keep_probs:
+                y = _softmax_recompute(logits(lo, hi), *y)
+            rows = slice(lo * h, hi * h)
+            gt = g_heads[rows]
+            gs = _softmax_backward(y, gt @ vh[rows].transpose(0, 2, 1), 2) * scale
+            _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
+            _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)
+            _merge_heads(gq[lo:hi], gs @ kh[rows], h)
+        return grads
 
-    return _result(merge(y @ vh, Lq), (q, k, v), backward_fn), y
+    return _result(out, (q, k, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------

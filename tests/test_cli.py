@@ -289,15 +289,26 @@ def _token_outside_vocab(doc):
     return json.dumps(doc)
 
 
+def _relabel_split(old, new):
+    def mutate(doc):
+        for rec in doc["samples"]:
+            if rec["split"] == old:
+                rec["split"] = new
+        return json.dumps(doc)
+    return mutate
+
+
 class TestCorruptDataset:
     @pytest.mark.parametrize("mutate", [
         _truncate_to_spec, _drop_first_offset, _unknown_spec_field, _invalid_spec,
         _image_shape_not_the_spec_s, _first_record(label=3), _first_record(label=-1),
         _first_record(split="holdout"), _first_record(tokens=[]),
         _first_record(tokens=[2] * 6), _token_outside_vocab,
+        _relabel_split("test", "train"), _relabel_split("train", "val"),
     ], ids=["truncated", "record_without_offset", "bad_spec", "invalid_spec",
             "image_shape_mismatch", "label_too_large", "negative_label",
-            "unknown_split", "no_tokens", "too_many_tokens", "token_outside_vocab"])
+            "unknown_split", "no_tokens", "too_many_tokens", "token_outside_vocab",
+            "no_test_records", "no_train_records"])
     def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
         data_dir = tmp_path / "ds"
         assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0

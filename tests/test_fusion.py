@@ -270,12 +270,13 @@ class TestCrossModalAttention:
         npt.assert_array_equal(out.data, expect)
 
     def test_sequence_mode_rows_sum_to_one(self):
+        # weights that sum to one map a value row shared by every key to itself
         rng = np.random.default_rng(17)
-        q = t64(rng.standard_normal((2, 1, 4)))
+        q = t64(rng.standard_normal((2, 3, 4)))
         k = t64(rng.standard_normal((2, 5, 4)))
-        v = t64(rng.standard_normal((2, 5, 4)))
-        _, w = T.attention(q, k, v, 2)
-        npt.assert_allclose(w.sum(axis=-1), np.ones((4, 1)), atol=1e-6)
+        row = rng.standard_normal((2, 1, 4))
+        out = T.attention(q, k, t64(np.repeat(row, 5, axis=1)), 2)
+        npt.assert_allclose(out.data, np.repeat(row, 3, axis=1), atol=1e-6)
 
     def test_joint_qk_scaling_squares_logits(self):
         rng = np.random.default_rng(18)
@@ -292,10 +293,13 @@ class TestCrossModalAttention:
         base = logits(q[0], k[0])
         scaled = logits(c * q[0], c * k[0])
         npt.assert_allclose(scaled, c * c * base, atol=1e-12)
-        # and the graph's attention weights are the softmax of those logits
-        _, w = T.attention(t64(q), t64(k), t64(k), heads)
+        # and the graph's attention reads the values with softmax(logits)
+        out = T.attention(t64(q), t64(k), t64(k), heads)
         e = np.exp(base - base.max(axis=-1, keepdims=True))
-        npt.assert_allclose(w, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
+        per_head = (e / e.sum(axis=-1, keepdims=True)) @ k[0].reshape(
+            3, heads, d // heads).transpose(1, 0, 2)
+        npt.assert_allclose(out.data, per_head.transpose(1, 0, 2).reshape(1, 1, d),
+                            atol=1e-12)
 
     def test_width_mismatch_errors(self):
         attn = self.make("pooled")

@@ -1,0 +1,31 @@
+"""The walkthrough notebooks 01-04 run to completion against the package.
+
+Each runs as its own process with ``src`` on ``PYTHONPATH``, as README
+describes, so a change to the public API fails here instead of breaking a
+walkthrough silently. Notebook 05 runs the ablation grid and gamma sweep
+for tens of seconds; ``tests/test_cli.py`` covers those commands.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+NOTEBOOKS = sorted(p.name for p in (ROOT / "notebooks").glob("0[1-4]_*.py"))
+
+
+def test_all_four_found():
+    assert len(NOTEBOOKS) == 4
+
+
+@pytest.mark.parametrize("name", NOTEBOOKS)
+def test_notebook_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "notebooks" / name)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmfusion import tensor as T
 from mmfusion.gradcheck import finite_diff_check
@@ -591,8 +594,7 @@ class TestFusedAttention:
         for wrt in (q, k, v):
             def f(x, wrt=wrt):
                 args = [x if t is wrt else t for t in (q, k, v)]
-                out, _ = T.attention(*args, 2, mask)
-                return T.tsum(T.mul(out, Tensor(readout)))
+                return T.tsum(T.mul(T.attention(*args, 2, mask), Tensor(readout)))
             assert finite_diff_check(f, wrt) < 1e-6
 
     @pytest.mark.parametrize("Lq", [1, 3])
@@ -600,20 +602,26 @@ class TestFusedAttention:
     def test_bit_identical_to_primitive_graph(self, Lq, masked):
         q, k, v, mask, readout = self.make(Lq, dtype=np.float32)
         mask = mask if masked else None
-        out, weights = T.attention(q, k, v, 2, mask)
-        assert out.data.dtype == np.float32 and weights.dtype == np.float32
+        out = T.attention(q, k, v, 2, mask)
+        assert out.data.dtype == np.float32
         assert np.array_equal(out.data, attention_composite(q, k, v, 2, mask).data)
-        g_fused = grads_of(lambda: T.attention(q, k, v, 2, mask)[0], [q, k, v], readout)
+        g_fused = grads_of(lambda: T.attention(q, k, v, 2, mask), [q, k, v], readout)
         g_ref = grads_of(lambda: attention_composite(q, k, v, 2, mask), [q, k, v], readout)
         for a, r in zip(g_fused, g_ref):
             assert a.dtype == np.float32 and np.array_equal(a, r)
 
     def test_masked_keys_get_zero_weight(self):
-        q, k, v, mask, _ = self.make(3)
-        _, weights = T.attention(q, k, v, 2, mask)
-        assert weights.shape == (4, 3, 5)
-        npt.assert_allclose(weights.sum(axis=-1), np.ones((4, 3)), atol=1e-12)
-        assert np.all(weights[2:, :, 3:] == 0.0)
+        # a zero weight shows as an output blind to the key's k and v rows
+        # and as zero gradients on them
+        q, k, v, mask, readout = self.make(3)
+        out = T.attention(q, k, v, 2, mask).data
+        moved = [Tensor(a.data.copy()) for a in (k, v)]
+        for a in moved:
+            a.data[1, 3:] += 10.0
+        npt.assert_array_equal(T.attention(q, *moved, 2, mask).data, out)
+        _, gk, gv = grads_of(lambda: T.attention(q, k, v, 2, mask), [q, k, v], readout)
+        assert np.all(gk[1, 3:] == 0.0) and np.all(gv[1, 3:] == 0.0)
+        assert np.all(gk[1, :3] != 0.0) and np.all(gv[1, :3] != 0.0)
 
     def test_checks(self):
         q, k, v, mask, _ = self.make(3)
@@ -630,6 +638,79 @@ class TestFusedAttention:
             T.attention(bad, k, v, 2)
 
 
+def tile_samples(h, Lq, Lk, dtype):
+    """Samples per attention tile at these shapes."""
+    return max(1, T.ATTENTION_TILE_BYTES // (h * Lq * Lk * np.dtype(dtype).itemsize))
+
+
+class TestTiledAttention:
+    """Batches of several tiles: backward recomputes each tile's
+    probabilities from its row max and sum instead of keeping them."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(h=st.sampled_from([1, 2]), dh=st.integers(1, 3), Lq=st.integers(16, 40),
+           Lk=st.integers(16, 40), dtype=st.sampled_from([np.float32, np.float64]),
+           masked=st.booleans(), tiles=st.integers(2, 3), seed=st.integers(0, 2**16))
+    def test_equals_primitive_graph(self, h, dh, Lq, Lk, dtype, masked, tiles, seed):
+        step = tile_samples(h, Lq, Lk, dtype)
+        assert step >= 2
+        rng = np.random.default_rng(seed)
+        B = step * (tiles - 1) + int(rng.integers(1, step))     # uneven last tile
+        d = h * dh
+        q, k, v = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                   for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
+        mask = None
+        if masked:
+            mask = rng.random((B, Lk)) < 0.7
+            mask[:, 0] = True
+        readout = rng.standard_normal((B, Lq, d)).astype(dtype)
+        out = T.attention(q, k, v, h, mask)
+        ref = attention_composite(q, k, v, h, mask)
+        assert out.data.dtype == dtype and np.array_equal(out.data, ref.data)
+        g_tiled = grads_of(lambda: T.attention(q, k, v, h, mask), [q, k, v], readout)
+        g_ref = grads_of(lambda: attention_composite(q, k, v, h, mask), [q, k, v], readout)
+        for a, r in zip(g_tiled, g_ref):
+            assert a.dtype == dtype and np.array_equal(a, r)
+
+    @NON_FINITE
+    def test_non_finite_logit_in_a_later_tile(self, bad):
+        h, Lq, Lk, d = 2, 16, 24, 4
+        step = tile_samples(h, Lq, Lk, np.float64)
+        B = 2 * step + step // 2
+        rng = np.random.default_rng(7)
+        q = np.abs(rng.standard_normal((B, Lq, d))) + 0.1
+        k, v = rng.standard_normal((B, Lk, d)), rng.standard_normal((B, Lk, d))
+        k[-1, 1, 0] = bad       # the last tile's head 0, every query
+        with pytest.raises(T.NonFiniteError,
+                           match=rf"attention: softmax input has {Lq} non-finite entries"):
+            T.attention(t64(q), t64(k), t64(v), h)
+
+    @pytest.mark.parametrize("last_tile", ["half", "one_sample"])
+    def test_graph_keeps_no_probabilities(self, last_tile):
+        h, Lq, Lk, d = 2, 64, 48, 8
+        step = tile_samples(h, Lq, Lk, np.float64)
+        B = 2 * step + (step // 2 if last_tile == "half" else 1)
+        probs_bytes = B * h * Lq * Lk * 8
+        io_bytes = B * (2 * Lq + 2 * Lk) * d * 8     # q/k/v head splits and the output
+        stats_bytes = 2 * B * h * Lq * 8              # row max and row sum
+        rng = np.random.default_rng(8)
+        leaves = [t64(rng.standard_normal((B, L, d)), requires_grad=True)
+                  for L in (Lq, Lk, Lk)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # q/k/v are op results the caller drops, as projections are in the model
+            result = T.attention(*(T.scale(t, 1.0) for t in leaves), h)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held - io_bytes < probs_bytes
+        # nothing else: no view that pins a whole q/k/v array for one tile
+        assert held < io_bytes + stats_bytes + 32 * 1024
+        backward(T.tsum(result))
+        assert all(t.grad.shape == t.shape for t in leaves)
+
+
 # ---------------------------------------------------------------------------
 # gradient bookkeeping: leaf-only grads and no_grad
 # ---------------------------------------------------------------------------
@@ -640,7 +721,7 @@ class TestLeafOnlyGradients:
         x = t64(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = t64(rng.standard_normal((4, 4)), requires_grad=True)
         h = T.linear(x, w)
-        out, _ = T.attention(h, h, h, 2)
+        out = T.attention(h, h, h, 2)
         r = T.relu(out)
         loss = T.tsum(r)
         backward(loss)
