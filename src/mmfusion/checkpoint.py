@@ -1,8 +1,10 @@
 """Bit-exact parameter serialization.
 
 Layout: a directory with ``manifest.json`` mapping parameter name to
-{shape, dtype, offset, length} and ``weights.bin`` holding the little-endian
-raw buffers concatenated in manifest order.
+{shape, dtype, offset, length, crc32} and ``weights.bin`` holding the
+little-endian raw buffers concatenated in manifest order. ``crc32`` is the
+``zlib.crc32`` of the entry's bytes, so a same-size corruption of
+``weights.bin`` is caught on load instead of loading as other weights.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zlib
 
 import numpy as np
 
@@ -35,6 +38,7 @@ def save_checkpoint(named_params, out_dir):
             "dtype": str(p.data.dtype),
             "offset": offset,
             "length": len(raw),
+            "crc32": zlib.crc32(raw),
         }
         chunks.append(raw)
         offset += len(raw)
@@ -50,8 +54,9 @@ def load_checkpoint(ckpt_dir):
 
     Anything that does not describe a whole checkpoint raises
     ``CheckpointError``: an unreadable file, a manifest that is not a JSON
-    object of entries, an entry without an integer ``offset``/``length``, a
-    ``shape`` list or a known ``dtype``, or bytes that do not fit it.
+    object of entries, an entry without an integer ``offset``/``length``/
+    ``crc32``, a ``shape`` list or a known ``dtype``, or bytes that do not
+    fit it or fail its checksum.
     """
     try:
         with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
@@ -72,17 +77,17 @@ def _is_count(v):
 
 
 def _read_entry(name, meta, blob):
-    fields = ("offset", "length", "shape", "dtype")
+    fields = ("offset", "length", "shape", "dtype", "crc32")
     if not isinstance(meta, dict) or any(f not in meta for f in fields):
         raise CheckpointError(f"manifest entry '{name}' needs fields {list(fields)}")
-    start, length, shape, dtype = (meta[f] for f in fields)
+    start, length, shape, dtype, crc = (meta[f] for f in fields)
     if not isinstance(dtype, str) or dtype not in _LE:
         raise CheckpointError(f"manifest entry '{name}': unknown dtype {dtype!r}")
-    if not (_is_count(start) and _is_count(length) and isinstance(shape, list)
-            and all(_is_count(n) for n in shape)):
+    if not (_is_count(start) and _is_count(length) and _is_count(crc)
+            and isinstance(shape, list) and all(_is_count(n) for n in shape)):
         raise CheckpointError(
             f"corrupt manifest entry '{name}': offset {start!r}, length {length!r}, "
-            f"shape {shape!r}")
+            f"crc32 {crc!r}, shape {shape!r}")
     if start + length > len(blob):
         raise CheckpointError(
             f"weights.bin truncated: '{name}' needs bytes [{start}, {start + length}) "
@@ -93,6 +98,9 @@ def _read_entry(name, meta, blob):
         raise CheckpointError(
             f"corrupt manifest entry '{name}' at offset {start}: {length} bytes != "
             f"{expect} values of shape {shape}")
+    if zlib.crc32(memoryview(blob)[start:start + length]) != crc:
+        raise CheckpointError(
+            f"weights.bin bytes [{start}, {start + length}) of '{name}' fail their crc32")
     arr = np.frombuffer(blob, dtype=_LE[dtype], count=expect, offset=start)
     return arr.reshape(shape).astype(dtype)
 

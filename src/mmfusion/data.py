@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -350,7 +351,7 @@ def labels_of(samples):
 def save_dataset(ds: Dataset, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     records = []
-    offset = 0
+    offset = crc = 0
     with open(os.path.join(out_dir, "images.bin"), "wb") as fh:
         for s in ds.samples:
             raw = np.ascontiguousarray(s.image.astype("<f4")).tobytes()
@@ -358,6 +359,7 @@ def save_dataset(ds: Dataset, out_dir):
                             "offset": offset, "length": len(raw)})
             fh.write(raw)
             offset += len(raw)
+            crc = zlib.crc32(raw, crc)
     doc = {
         "spec": asdict(ds.spec),
         "vocab": ds.vocab,
@@ -366,6 +368,7 @@ def save_dataset(ds: Dataset, out_dir):
         "self_check": ds.self_check,
         "image_shape": [ds.spec.image_size, ds.spec.image_size, ds.spec.channels],
         "samples": records,
+        "images_crc32": crc,
     }
     with open(os.path.join(out_dir, "dataset.json"), "w") as fh:
         json.dump(doc, fh)
@@ -376,7 +379,8 @@ def save_dataset(ds: Dataset, out_dir):
 
 # dataset.json's top-level fields and the checks of a sample record's fields
 _DOC_FIELDS = {"spec": dict, "vocab": dict, "pattern_of": list, "keyword_of": list,
-               "self_check": dict, "image_shape": list, "samples": list}
+               "self_check": dict, "image_shape": list, "samples": list,
+               "images_crc32": int}
 _RECORD_FIELDS = {"offset": is_int, "length": is_int, "label": is_int,
                   "split": lambda v: isinstance(v, str),
                   "tokens": lambda v: isinstance(v, list) and all(map(is_int, v))}
@@ -401,7 +405,8 @@ def load_dataset(in_dir) -> Dataset:
 
     Anything that does not describe a whole dataset raises
     ``DatasetIOError``: an unreadable file, a ``dataset.json`` that is not a
-    JSON object with the fields ``save_dataset`` writes, an embedded spec
+    JSON object with the fields ``save_dataset`` writes, an ``images.bin``
+    whose ``zlib.crc32`` is not the recorded ``images_crc32``, an embedded spec
     that ``fields.from_dict`` rejects or whose ``validate`` reports a
     problem, an ``image_shape`` other than the spec's, a sample record
     without an integer ``offset``/``length``/``label``, a token list or a
@@ -426,6 +431,8 @@ def load_dataset(in_dir) -> Dataset:
         raise DatasetIOError(
             f"corrupt dataset.json at {in_dir}: needs a JSON object with fields "
             + ", ".join(f"{k} ({t.__name__})" for k, t in _DOC_FIELDS.items()))
+    if zlib.crc32(blob) != doc["images_crc32"]:
+        raise DatasetIOError(f"images.bin at {in_dir} fails its crc32 check")
     try:
         spec = from_dict(SyntheticSpec(), doc["spec"])
     except ConfigError as exc:

@@ -187,6 +187,13 @@ class CrossModalAttention(Module):
     mode="pooled" attends over its length-1 pooled vector, where softmax over
     a single key is forced to one and the output reduces exactly to the value
     projection. Projections are bias-free matrix products.
+
+    Each direction is one ``T.attention`` node fed the query and key/value
+    sequences and the projection weights; ``q_from_text``, ``k_image`` and
+    the other ``Linear`` modules only hold those weights (their names and
+    init order fix the checkpoint layout). The node keeps the sequences and
+    weights, which outlive it anyway, and recomputes q/k/v in backward
+    instead of keeping them in the graph.
     """
 
     def __init__(self, d, n_heads, rng, mode="sequence", dtype=np.float32):
@@ -210,11 +217,11 @@ class CrossModalAttention(Module):
         real text keys. Returns (text queries' read of the image, image
         queries' read of the text), shaped like the respective queries."""
         from_image = T.attention(
-            self.q_from_text(text_query), self.k_image(image_kv),
-            self.v_image(image_kv), self.n_heads)
+            text_query, image_kv, self.n_heads, self.q_from_text.weight,
+            self.k_image.weight, self.v_image.weight)
         from_text = T.attention(
-            self.q_from_image(image_query), self.k_text(text_kv),
-            self.v_text(text_kv), self.n_heads, key_mask=text_mask)
+            image_query, text_kv, self.n_heads, self.q_from_image.weight,
+            self.k_text.weight, self.v_text.weight, key_mask=text_mask)
         return from_image, from_text
 
     def __call__(self, text_pooled, text_seq, text_mask, image_pooled, image_seq):

@@ -44,6 +44,15 @@ class LayerNorm(Module):
 
 
 class MultiHeadSelfAttention(Module):
+    """Self-attention: one ``T.attention`` node takes x and the q/k/v
+    projection parameters, then ``o_proj`` maps its output.
+
+    ``q_proj``/``k_proj``/``v_proj`` only hold the projection parameters
+    (their names and init order fix the checkpoint layout); they are never
+    called. The node keeps x and the weights, which outlive it anyway, and
+    recomputes q/k/v in backward instead of keeping them in the graph.
+    """
+
     def __init__(self, d, n_heads, rng, dtype=np.float32, std=None):
         super().__init__()
         if d % n_heads:
@@ -57,8 +66,9 @@ class MultiHeadSelfAttention(Module):
         self.o_proj = Linear(d, d, rng, dtype=dtype, std=std)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        return self.o_proj(T.attention(
-            self.q_proj(x), self.k_proj(x), self.v_proj(x), self.n_heads, key_mask))
+        q, k, v = self.q_proj, self.k_proj, self.v_proj
+        return self.o_proj(T.attention(x, x, self.n_heads, q.weight, k.weight, v.weight,
+                                       q.bias, v.bias, key_mask))
 
 
 class FeedForward(Module):

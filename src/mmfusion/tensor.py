@@ -26,13 +26,17 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 
 ``linear`` and ``attention`` are fused composites with hand-written backward
 passes; each computes exactly the arithmetic of the primitive ops it stands
-for (reshape/matmul/add and head split/bmm/mask/softmax/bmm/head merge), so
-results are bit-identical to the unfused graph. ``attention`` works over
-batch tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of [h, Lq, Lk]
-probabilities; when a call spans several tiles its backward recomputes the
-probabilities from each row's saved max and sum instead of keeping them,
-because at batch 64 they were the largest arrays a step graph held. A call
-of one tile keeps them, which spends no recompute where they are small.
+for (reshape/matmul/add, and three such projections feeding head
+split/bmm/mask/softmax/bmm/head merge), so results are bit-identical to the
+unfused graph. ``attention`` takes the unprojected inputs and the q/k/v
+projection parameters and keeps only those, which outlive the node anyway;
+its backward recomputes q/k/v and their head splits, because at batch 64
+those held about a third of the bytes of a step graph. It
+works over batch tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of
+[h, Lq, Lk] probabilities; when a call spans several tiles its backward also
+recomputes the probabilities from each row's saved max and sum instead of
+keeping them. A call of one tile keeps them, which spends no recompute
+where they are small.
 """
 
 from __future__ import annotations
@@ -401,29 +405,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: input width of {x.shape} != d_in {d_in}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"linear: bias must be shape ({d_out},), got {bias.shape}")
-    x_shape, wd = x.shape, weight.data
-    flat_in = len(x_shape) != 2
+    xd, wd = x.data, weight.data
     need_gx, has_bias = x.requires_grad, bias is not None
-    rows = x.data.reshape(-1, d_in) if flat_in else x.data
-    out = rows @ wd
-    if flat_in:
-        out = out.reshape(x_shape[:-1] + (d_out,))
-    if has_bias:
-        out += bias.data
+    out = _project(xd, wd, bias.data if has_bias else None)
 
     def backward_fn(g):
-        g_rows = g.reshape(-1, d_out) if flat_in else g
-        gx = None
-        if need_gx:
-            gx = g_rows @ wd.T
-            if flat_in:
-                gx = gx.reshape(x_shape)
-        grads = (gx, rows.T @ g_rows)
+        grads = _project_backward(xd, wd, g, need_gx)
         if not has_bias:
             return grads
         return grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
 
     return _result(out, parents, backward_fn)
+
+
+def _project(x, w, b):
+    """``linear``'s arithmetic on arrays: leading axes of ``x`` flattened
+    into one [n, d_in] @ [d_in, d_out] product, reshaped back, then ``+= b``."""
+    out = (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+    if b is not None:
+        out += b
+    return out
+
+
+def _project_backward(x, w, g, need_gx):
+    """(gx or None, gW) of ``_project`` for the upstream gradient ``g``."""
+    g_rows = g.reshape(-1, w.shape[1])
+    gx = (g_rows @ w.T).reshape(x.shape) if need_gx else None
+    return gx, x.reshape(-1, w.shape[0]).T @ g_rows
 
 
 # Bytes of [h, Lq, Lk] softmax probabilities one attention tile may hold.
@@ -440,84 +448,123 @@ def _merge_heads(dst, a, h):  # [n*h, L, dh] written into dst [n, L, h*dh]
     dst.reshape(n, L, h, d // h)[...] = a.reshape(n, h, L, d // h).transpose(0, 2, 1, 3)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention in one node.
+def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+              bq: Tensor | None = None, bv: Tensor | None = None, key_mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention with its q/k/v projections,
+    in one node.
 
-    q: [B, Lq, d], k/v: [B, Lk, d], already projected. Heads are split to
-    [B*h, L, d/h], logits are scaled by 1/sqrt(d/h), keys where the boolean
-    [B, Lk] ``key_mask`` is False get -1e9 added, rows are softmaxed and the
-    weighted values are merged back to [B, Lq, d], which is returned.
+    xq: [B, Lq, d_q], xkv: [B, Lk, d_kv]; wq: [d_q, d], wk/wv: [d_kv, d],
+    optional biases bq/bv: [d] (a key bias would shift each query's logits
+    equally and cancel in softmax). q = xq @ wq + bq, k = xkv @ wk and
+    v = xkv @ wv + bv are computed with ``linear``'s arithmetic, heads are
+    split to [B*h, L, d/h], logits are scaled by 1/sqrt(d/h), keys where the
+    boolean [B, Lk] ``key_mask`` is False get -1e9 added, rows are softmaxed
+    and the weighted values are merged back to [B, Lq, d], which is
+    returned.
 
     The batch is worked in tiles of as many samples as keep one tile's
     probabilities within ``ATTENTION_TILE_BYTES`` (at least one sample), and
-    the non-finite check raises at the first bad tile. Backward reads the
-    head splits of q/k/v, which stand in for the q/k/v arrays. A call that
-    fits one tile also keeps its probabilities. A call of several tiles
-    keeps only each row's softmax max and sum, and backward recomputes each
-    tile's probabilities with the same logits and subtract/exp/divide, so
-    the graph never holds the [B*h, Lq, Lk] probabilities of a large batch
-    (the FlashAttention trade of recompute for memory). Each tile is a
-    batch slice of the same arithmetic, so results do not depend on the
-    tiling.
+    the non-finite check raises at the first bad tile. The node keeps only
+    arrays that outlive it anyway: the xq/xkv inputs and the weights, plus
+    per tile either its probabilities (a call that fits one tile) or each
+    row's softmax max and sum (a call of several tiles). Backward recomputes
+    q/k/v and their head splits from those, then each tile's probabilities
+    from its logits with the same subtract/exp/divide, so the graph holds
+    neither q/k/v nor the [B*h, Lq, Lk] probabilities of a large batch (the
+    recompute-for-memory trade of gradient checkpointing and FlashAttention).
+    Each tile is a batch slice of the same arithmetic, so results do not
+    depend on the tiling, and are bit-identical to three ``linear`` nodes
+    feeding the primitive attention graph.
     """
-    _check_same_dtype("attention", q, k, v)
-    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape:
+    parents = tuple(t for t in (xq, wq, bq, xkv, wk, xkv, wv, bv) if t is not None)
+    _check_same_dtype("attention", *parents)
+    if xq.data.ndim != 3 or xkv.data.ndim != 3 or xq.shape[0] != xkv.shape[0]:
         raise ShapeError(
-            f"attention: expects q [B,Lq,d] and k, v [B,Lk,d], got {q.shape}, "
-            f"{k.shape}, {v.shape}")
-    B, Lq, d = q.shape
-    Lk = k.shape[1]
-    if k.shape[0] != B or k.shape[2] != d:
-        raise ShapeError(f"attention: query {q.shape} and key {k.shape} disagree")
+            f"attention: expects xq [B,Lq,d_q] and xkv [B,Lk,d_kv], got {xq.shape} "
+            f"and {xkv.shape}")
+    B, Lq = xq.shape[:2]
+    Lk = xkv.shape[1]
+    if any(w.data.ndim != 2 for w in (wq, wk, wv)):
+        raise ShapeError(
+            f"attention: weights must be 2-D, got {wq.shape}, {wk.shape}, {wv.shape}")
+    d = wq.shape[1]
+    if (wq.shape[0] != xq.shape[2] or wk.shape != (xkv.shape[2], d)
+            or wv.shape != wk.shape):
+        raise ShapeError(
+            f"attention: weights {wq.shape}, {wk.shape}, {wv.shape} do not map "
+            f"xq {xq.shape} and xkv {xkv.shape} to one width")
+    if any(b is not None and b.shape != (d,) for b in (bq, bv)):
+        raise ShapeError(f"attention: biases must be shape ({d},)")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    h, dtype = n_heads, q.data.dtype
+    h, dtype = n_heads, xq.data.dtype
     # a Python float: a numpy float64 scalar would promote float32 logits
     scale = float(1.0 / np.sqrt(d // h))
-    bias = None
+    mask_bias = None
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
         if key_mask.shape != (B, Lk):
             raise ShapeError(f"attention: key_mask shape {key_mask.shape} != ({B}, {Lk})")
-        bias = np.where(key_mask, 0.0, -1e9).astype(dtype)
+        mask_bias = np.where(key_mask, 0.0, -1e9).astype(dtype)
     step = max(1, ATTENTION_TILE_BYTES // max(1, h * Lq * Lk * dtype.itemsize))
     keep_probs = step >= B
-    qh, kh, vh = _split_heads(q.data, h), _split_heads(k.data, h), _split_heads(v.data, h)
+    xqd, xkvd, wqd, wkd, wvd = xq.data, xkv.data, wq.data, wk.data, wv.data
+    bqd = None if bq is None else bq.data
+    bvd = None if bv is None else bv.data
+    need_gxq, need_gxkv = xq.requires_grad, xkv.requires_grad
 
-    def logits(lo, hi):     # scaled, masked logits of samples [lo, hi)
+    def heads():            # q/k/v head splits, [B*h, L, d/h] each
+        return (_split_heads(_project(xqd, wqd, bqd), h),
+                _split_heads(_project(xkvd, wkd, None), h),
+                _split_heads(_project(xkvd, wvd, bvd), h))
+
+    def logits(qh, kh, lo, hi):     # scaled, masked logits of samples [lo, hi)
         rows = slice(lo * h, hi * h)
         scores = qh[rows] @ kh[rows].transpose(0, 2, 1)     # a fresh contiguous array
         scores *= scale
-        if bias is not None:
+        if mask_bias is not None:
             per_head = scores.reshape(hi - lo, h, Lq, Lk)     # a view of scores
-            per_head += bias[lo:hi, None, None, :]
+            per_head += mask_bias[lo:hi, None, None, :]
         return scores
 
+    qh, kh, vh = heads()
     out = np.empty((B, Lq, d), dtype)
     kept = []   # per tile: its bounds, then y or (row max, row sum)
     for lo in range(0, B, step):
         hi = min(lo + step, B)
-        scores = logits(lo, hi)
+        scores = logits(qh, kh, lo, hi)
         y, top, total = _softmax_forward(scores, 2, "attention: softmax input", out=scores)
         _merge_heads(out[lo:hi], y @ vh[lo * h:hi * h], h)
         kept.append((lo, hi, y if keep_probs else (top, total)))
 
     def backward_fn(g):
+        qh, kh, vh = heads()
         g_heads = _split_heads(g, h)
-        grads = tuple(np.empty(s, dtype) for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
-        gq, gk, gv = grads
+        gq, gk, gv = (np.empty(s, dtype) for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
         for lo, hi, y in kept:
             if not keep_probs:
-                y = _softmax_recompute(logits(lo, hi), *y)
+                y = _softmax_recompute(logits(qh, kh, lo, hi), *y)
             rows = slice(lo * h, hi * h)
             gt = g_heads[rows]
-            gs = _softmax_backward(y, gt @ vh[rows].transpose(0, 2, 1), 2) * scale
+            # the softmax gradient y * (gs - dot) * scale, built in place
+            gs = gt @ vh[rows].transpose(0, 2, 1)
+            gs -= (gs * y).sum(axis=2, keepdims=True)
+            gs *= y
+            gs *= scale
             _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
             _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)
             _merge_heads(gq[lo:hi], gs @ kh[rows], h)
+        del qh, kh, vh, g_heads
+        grads = _project_backward(xqd, wqd, gq, need_gxq)
+        if bqd is not None:
+            grads += (gq.sum(axis=(0, 1)),)
+        grads += _project_backward(xkvd, wkd, gk, need_gxkv)
+        grads += _project_backward(xkvd, wvd, gv, need_gxkv)
+        if bvd is not None:
+            grads += (gv.sum(axis=(0, 1)),)
         return grads
 
-    return _result(out, (q, k, v), backward_fn)
+    return _result(out, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------

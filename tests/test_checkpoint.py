@@ -56,6 +56,30 @@ def test_tampered_offset_is_detected(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_flipped_byte_fails_the_checksum(tmp_path):
+    m = TinyModule()
+    save_checkpoint(list(m.named_parameters()), tmp_path)
+    blob = bytearray((tmp_path / "weights.bin").read_bytes())
+    blob[-1] ^= 0x80        # the sign bit of the last float64
+    (tmp_path / "weights.bin").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="'b' fail their crc32"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("crc", [None, -1, "0", 1.0])
+def test_entry_without_an_integer_crc32_is_rejected(tmp_path, crc):
+    m = TinyModule()
+    save_checkpoint(list(m.named_parameters()), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if crc is None:     # a manifest written before checksums
+        del manifest["w"]["crc32"]
+    else:
+        manifest["w"]["crc32"] = crc
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="crc32"):
+        load_checkpoint(tmp_path)
+
+
 def test_load_into_rejects_shape_mismatch(tmp_path):
     m = TinyModule()
     save_checkpoint(list(m.named_parameters()), tmp_path)

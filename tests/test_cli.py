@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmfusion.cli import main
 from mmfusion.model import RunConfig
@@ -252,6 +256,68 @@ class TestCorruptCheckpoint:
                      "--out", str(tmp_path / "eval")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_flipped_byte_exits_4(self, trained_checkpoint, tmp_path, capsys):
+        # the lowest mantissa bit of the first weight: a finite, same-size
+        # change that only the checksum sees
+        config, good = trained_checkpoint
+        bad = tmp_path / "checkpoint"
+        shutil.copytree(good, bad)
+        blob = bytearray((good / "weights.bin").read_bytes())
+        blob[0] ^= 1
+        (bad / "weights.bin").write_bytes(bytes(blob))
+        assert main(["eval", "--config", config, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 4
+        assert "crc32" in capsys.readouterr().err
+
+
+def _fuzz_checkpoint_file(read, data):
+    """Draw a mutation of one checkpoint file, whose bytes ``read(name)``
+    returns: a truncation or a byte flip of either file, or a retyped field,
+    a dropped field or a dropped entry of the manifest. Returns the file's
+    name and its mutated bytes."""
+    name = data.draw(st.sampled_from(["manifest.json", "weights.bin"]), label="file")
+    raw = read(name)
+    kind = data.draw(st.sampled_from(
+        ["truncate", "flip"] + (["retype", "drop_field", "drop_entry"]
+                                if name == "manifest.json" else [])), label="kind")
+    if kind == "truncate":
+        return name, raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        return name, raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    manifest = json.loads(raw)
+    entry = manifest[data.draw(st.sampled_from(sorted(manifest)), label="entry")]
+    if kind == "drop_entry":
+        manifest = {k: v for k, v in manifest.items() if v is not entry}
+    else:
+        field = data.draw(st.sampled_from(sorted(entry)), label="field")
+        if kind == "drop_field":
+            del entry[field]
+        else:
+            entry[field] = data.draw(st.sampled_from(
+                [None, True, -1, 1.5, 2**70, "7", [], {}, [3, 4]]), label="value")
+    return name, json.dumps(manifest).encode()
+
+
+class TestCheckpointFuzz:
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_exits_0_or_4_without_traceback(self, trained_checkpoint, data):
+        config, good = trained_checkpoint
+        name, raw = _fuzz_checkpoint_file(lambda f: (good / f).read_bytes(), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "checkpoint")
+            shutil.copytree(good, bad)
+            with open(os.path.join(bad, name), "wb") as fh:
+                fh.write(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["eval", "--config", config, "--checkpoint", bad,
+                             "--out", os.path.join(tmp, "eval")])
+        assert code in (0, 4) and "Traceback" not in err.getvalue()
+
 
 def _truncate_to_spec(doc):
     return '{"spec": '
@@ -320,6 +386,18 @@ class TestCorruptDataset:
             capture_output=True, text=True)
         assert proc.returncode == 4, proc.stderr
         assert "i/o error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_flipped_byte_exits_4(self, tiny_config, tmp_path, capsys):
+        # the lowest mantissa bit of the first pixel: a finite, same-size
+        # change that only the checksum sees
+        data_dir = tmp_path / "ds"
+        assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
+        blob = bytearray((data_dir / "images.bin").read_bytes())
+        blob[0] ^= 1
+        (data_dir / "images.bin").write_bytes(bytes(blob))
+        assert main(["train", "--config", tiny_config, "--data", str(data_dir),
+                     "--out", str(tmp_path / "run")]) == 4
+        assert "crc32" in capsys.readouterr().err
 
 
 class TestAblate:

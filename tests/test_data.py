@@ -150,6 +150,27 @@ class TestSerialization:
         with pytest.raises(DatasetIOError, match="offset"):
             load_dataset(tmp_path)
 
+    def test_flipped_byte_fails_the_checksum(self, tmp_path):
+        save_dataset(generate(tiny_spec()), tmp_path)
+        blob = bytearray((tmp_path / "images.bin").read_bytes())
+        blob[len(blob) // 2] ^= 1
+        (tmp_path / "images.bin").write_bytes(bytes(blob))
+        with pytest.raises(DatasetIOError, match="crc32"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("crc", [None, "0", 1.5])
+    def test_dataset_without_an_integer_checksum_is_rejected(self, tmp_path, crc):
+        import json
+        save_dataset(generate(tiny_spec()), tmp_path)
+        doc = json.loads((tmp_path / "dataset.json").read_text())
+        if crc is None:     # a dataset written before checksums
+            del doc["images_crc32"]
+        else:
+            doc["images_crc32"] = crc
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetIOError, match="images_crc32"):
+            load_dataset(tmp_path)
+
     def test_manifest_count_matches_binary(self, tmp_path):
         ds = generate(tiny_spec())
         save_dataset(ds, tmp_path)

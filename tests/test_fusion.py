@@ -9,8 +9,10 @@ from mmfusion.fusion import (ConcatLinearFusion, CrossModalAttention,
                              UnimodalFusionHead, build_interaction_path,
                              dropout_channel, elastic_net_channel)
 from mmfusion.gradcheck import finite_diff_check
+from mmfusion.layers import MultiHeadSelfAttention
 from mmfusion.model import FusionSettings
 from mmfusion.tensor import Tensor
+from test_tensor import attention_composite, grads_of
 
 
 def t64(data, requires_grad=False):
@@ -270,12 +272,18 @@ class TestCrossModalAttention:
         npt.assert_array_equal(out.data, expect)
 
     def test_sequence_mode_rows_sum_to_one(self):
-        # weights that sum to one map a value row shared by every key to itself
+        # weights that sum to one map a value row shared by every key to
+        # itself; the key/value input carries the keys in its first four
+        # columns and the shared value row in its last four, which the
+        # selecting projections pick apart exactly
         rng = np.random.default_rng(17)
         q = t64(rng.standard_normal((2, 3, 4)))
-        k = t64(rng.standard_normal((2, 5, 4)))
+        k = rng.standard_normal((2, 5, 4))
         row = rng.standard_normal((2, 1, 4))
-        out = T.attention(q, k, t64(np.repeat(row, 5, axis=1)), 2)
+        kv = t64(np.concatenate([k, np.repeat(row, 5, axis=1)], axis=2))
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        out = T.attention(q, kv, 2, t64(eye), t64(np.vstack([eye, zero])),
+                          t64(np.vstack([zero, eye])))
         npt.assert_allclose(out.data, np.repeat(row, 3, axis=1), atol=1e-6)
 
     def test_joint_qk_scaling_squares_logits(self):
@@ -293,13 +301,59 @@ class TestCrossModalAttention:
         base = logits(q[0], k[0])
         scaled = logits(c * q[0], c * k[0])
         npt.assert_allclose(scaled, c * c * base, atol=1e-12)
-        # and the graph's attention reads the values with softmax(logits)
-        out = T.attention(t64(q), t64(k), t64(k), heads)
+        # and the graph's attention, with identity projections, reads the
+        # values with softmax(logits)
+        eye = t64(np.eye(d))
+        out = T.attention(t64(q), t64(k), heads, eye, eye, eye)
         e = np.exp(base - base.max(axis=-1, keepdims=True))
         per_head = (e / e.sum(axis=-1, keepdims=True)) @ k[0].reshape(
             3, heads, d // heads).transpose(1, 0, 2)
         npt.assert_allclose(out.data, per_head.transpose(1, 0, 2).reshape(1, 1, d),
                             atol=1e-12)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attend_equals_projections_then_primitive_graph(self, masked):
+        # each direction is one attention node fed the inputs and the
+        # projection weights; the module's Linear projections feeding the
+        # primitive attention graph give the same bits, gradients included
+        attn = CrossModalAttention(4, 2, np.random.default_rng(40), dtype=np.float32)
+        rng = np.random.default_rng(41)
+        text, image = (Tensor(rng.standard_normal((2, L, 4)).astype(np.float32),
+                              requires_grad=True) for L in (5, 6))
+        mask = np.array([[True] * 5, [True, True, True, False, False]]) if masked else None
+
+        def fused():
+            return T.concat(attn.attend(text, image, image, text, mask), axis=1)
+
+        def ref():
+            from_image = attention_composite(
+                attn.q_from_text(text), attn.k_image(image), attn.v_image(image), 2)
+            from_text = attention_composite(
+                attn.q_from_image(image), attn.k_text(text), attn.v_text(text), 2, mask)
+            return T.concat([from_image, from_text], axis=1)
+
+        readout = rng.standard_normal((2, 11, 4)).astype(np.float32)
+        leaves = [text, image] + list(attn.parameters())
+        assert np.array_equal(fused().data, ref().data)
+        for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
+            assert a.dtype == np.float32 and np.array_equal(a, r)
+
+    def test_self_attention_equals_projections_then_primitive_graph(self):
+        attn = MultiHeadSelfAttention(4, 2, np.random.default_rng(42))
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.standard_normal((2, 5, 4)).astype(np.float32), requires_grad=True)
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+
+        def ref():
+            return attn.o_proj(attention_composite(
+                attn.q_proj(x), attn.k_proj(x), attn.v_proj(x), 2, mask))
+
+        readout = rng.standard_normal((2, 5, 4)).astype(np.float32)
+        leaves = [x] + list(attn.parameters())
+        assert np.array_equal(attn(x, mask).data, ref().data)
+        for a, r in zip(grads_of(lambda: attn(x, mask), leaves, readout),
+                        grads_of(ref, leaves, readout)):
+            assert a.dtype == np.float32 and np.array_equal(a, r)
 
     def test_width_mismatch_errors(self):
         attn = self.make("pooled")

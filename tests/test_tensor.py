@@ -124,15 +124,19 @@ class TestNonFiniteCount:
 
     @NON_FINITE
     def test_attention_scores(self, bad):
-        # key 1 of batch 0 meets positive query entries in head 0, so its
-        # score is non-finite for each of the 3 queries; the rest are finite
+        # the bad entry of batch 0's key input 1 spreads over its whole key
+        # row through the positive key weights, so with positive queries the
+        # score is non-finite in both heads for each of the 3 queries: 6
+        # entries; the rest are finite
         rng = np.random.default_rng(6)
-        q = np.abs(rng.standard_normal((2, 3, 4))) + 0.1
-        k, v = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))
-        k[0, 1, 0] = bad
+        xq = np.abs(rng.standard_normal((2, 3, 4))) + 0.1
+        xkv = rng.standard_normal((2, 5, 4))
+        xkv[0, 1, 0] = bad
+        wk = np.abs(rng.standard_normal((4, 4))) + 0.1
         with pytest.raises(T.NonFiniteError,
-                           match=r"attention: softmax input has 3 non-finite entries"):
-            T.attention(t64(q), t64(k), t64(v), 2, key_mask=np.ones((2, 5), bool))
+                           match=r"attention: softmax input has 6 non-finite entries"):
+            T.attention(t64(xq), t64(xkv), 2, t64(np.eye(4)), t64(wk),
+                        t64(rng.standard_normal((4, 4))), key_mask=np.ones((2, 5), bool))
 
 
 # ---------------------------------------------------------------------------
@@ -576,66 +580,129 @@ class TestFusedLinear:
             T.linear(t64(np.ones((2, 4))), Tensor(np.ones((4, 3), dtype=np.float32)))
 
 
+def projected_composite(xq, xkv, n_heads, wq, wk, wv, bq=None, bv=None, key_mask=None):
+    """Three ``linear`` nodes feeding the primitive attention graph: the
+    graph the fused ``attention`` node, projections included, replaces."""
+    return attention_composite(T.linear(xq, wq, bq), T.linear(xkv, wk),
+                               T.linear(xkv, wv, bv), n_heads, key_mask)
+
+
+def attention_leaves(rng, B, Lq, Lk, d_q, d_kv, d, dtype, biases=True):
+    """Leaf inputs (xq, xkv) and projection parameters (wq, wk, wv, bq, bv)
+    of one attention call; the biases are None when ``biases`` is False.
+    Weights are fan-scaled, which keeps the softmax away from saturation."""
+    def leaf(*shape, std=1.0):
+        return Tensor((rng.standard_normal(shape) * std).astype(dtype), requires_grad=True)
+
+    xq, xkv = leaf(B, Lq, d_q), leaf(B, Lk, d_kv)
+    wq = leaf(d_q, d, std=d_q ** -0.5)
+    wk, wv = (leaf(d_kv, d, std=d_kv ** -0.5) for _ in range(2))
+    bq, bv = (leaf(d), leaf(d)) if biases else (None, None)
+    return xq, xkv, (wq, wk, wv, bq, bv)
+
+
+def present(*tensors):
+    return [t for t in tensors if t is not None]
+
+
 class TestFusedAttention:
     def make(self, Lq, dtype=np.float64, seed=32):
         rng = np.random.default_rng(seed)
-        B, Lk, d = 2, 5, 4
-        q, k, v = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
-                   for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
+        xq, xkv, params = attention_leaves(rng, 2, Lq, 5, 3, 5, 4, dtype)
         mask = np.array([[True] * 5, [True, True, True, False, False]])
-        readout = rng.standard_normal((B, Lq, d)).astype(dtype)
-        return q, k, v, mask, readout
+        readout = rng.standard_normal((2, Lq, 4)).astype(dtype)
+        return xq, xkv, params, mask, readout
 
     @pytest.mark.parametrize("Lq", [1, 3])
     @pytest.mark.parametrize("masked", [False, True])
     def test_gradients_match_finite_differences(self, Lq, masked):
-        q, k, v, mask, readout = self.make(Lq)
+        xq, xkv, params, mask, readout = self.make(Lq)
         mask = mask if masked else None
-        for wrt in (q, k, v):
+        leaves = (xq, xkv) + params
+        for wrt in leaves:
             def f(x, wrt=wrt):
-                args = [x if t is wrt else t for t in (q, k, v)]
-                return T.tsum(T.mul(T.attention(*args, 2, mask), Tensor(readout)))
+                a = [x if t is wrt else t for t in leaves]
+                out = T.attention(a[0], a[1], 2, *a[2:], key_mask=mask)
+                return T.tsum(T.mul(out, Tensor(readout)))
             assert finite_diff_check(f, wrt) < 1e-6
 
     @pytest.mark.parametrize("Lq", [1, 3])
     @pytest.mark.parametrize("masked", [False, True])
     def test_bit_identical_to_primitive_graph(self, Lq, masked):
-        q, k, v, mask, readout = self.make(Lq, dtype=np.float32)
-        mask = mask if masked else None
-        out = T.attention(q, k, v, 2, mask)
-        assert out.data.dtype == np.float32
-        assert np.array_equal(out.data, attention_composite(q, k, v, 2, mask).data)
-        g_fused = grads_of(lambda: T.attention(q, k, v, 2, mask), [q, k, v], readout)
-        g_ref = grads_of(lambda: attention_composite(q, k, v, 2, mask), [q, k, v], readout)
-        for a, r in zip(g_fused, g_ref):
-            assert a.dtype == np.float32 and np.array_equal(a, r)
+        for dtype in (np.float32, np.float64):
+            xq, xkv, params, mask, readout = self.make(Lq, dtype=dtype)
+            mask = mask if masked else None
+            leaves = present(xq, xkv, *params)
+            fused = lambda: T.attention(xq, xkv, 2, *params, key_mask=mask)    # noqa: E731
+            ref = lambda: projected_composite(xq, xkv, 2, *params, key_mask=mask)    # noqa: E731
+            out = fused()
+            assert out.data.dtype == dtype and np.array_equal(out.data, ref().data)
+            for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
+                assert a.dtype == dtype and np.array_equal(a, r)
+
+    @pytest.mark.parametrize("biases", [False, True])
+    def test_self_attention_bit_identical(self, biases):
+        # xq is xkv: the input's three gradients add up as the three
+        # projections' would
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(34)
+            x, _, params = attention_leaves(rng, 3, 6, 6, 4, 4, 4, dtype, biases)
+            mask = rng.random((3, 6)) < 0.7
+            mask[:, 0] = True
+            readout = rng.standard_normal((3, 6, 4)).astype(dtype)
+            leaves = present(x, *params)
+            fused = lambda: T.attention(x, x, 2, *params, key_mask=mask)    # noqa: E731
+            ref = lambda: projected_composite(x, x, 2, *params, key_mask=mask)    # noqa: E731
+            assert np.array_equal(fused().data, ref().data)
+            for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
+                assert a.dtype == dtype and np.array_equal(a, r)
 
     def test_masked_keys_get_zero_weight(self):
-        # a zero weight shows as an output blind to the key's k and v rows
-        # and as zero gradients on them
-        q, k, v, mask, readout = self.make(3)
-        out = T.attention(q, k, v, 2, mask).data
-        moved = [Tensor(a.data.copy()) for a in (k, v)]
-        for a in moved:
-            a.data[1, 3:] += 10.0
-        npt.assert_array_equal(T.attention(q, *moved, 2, mask).data, out)
-        _, gk, gv = grads_of(lambda: T.attention(q, k, v, 2, mask), [q, k, v], readout)
-        assert np.all(gk[1, 3:] == 0.0) and np.all(gv[1, 3:] == 0.0)
-        assert np.all(gk[1, :3] != 0.0) and np.all(gv[1, :3] != 0.0)
+        # a zero weight shows as an output blind to the key's input row and
+        # as a zero gradient on it
+        xq, xkv, params, mask, readout = self.make(3)
+        out = T.attention(xq, xkv, 2, *params, key_mask=mask).data
+        moved = Tensor(xkv.data.copy())
+        moved.data[1, 3:] += 10.0
+        npt.assert_array_equal(T.attention(xq, moved, 2, *params, key_mask=mask).data, out)
+        _, gkv = grads_of(lambda: T.attention(xq, xkv, 2, *params, key_mask=mask),
+                          [xq, xkv], readout)
+        assert np.all(gkv[1, 3:] == 0.0) and np.all(gkv[1, :3] != 0.0)
+
+    @pytest.mark.parametrize("constant", ["xq", "xkv", "both"])
+    def test_constant_inputs_get_no_gradient(self, constant):
+        xq, xkv, params, _, readout = self.make(3)
+        if constant in ("xq", "both"):
+            xq = Tensor(xq.data)
+        if constant in ("xkv", "both"):
+            xkv = Tensor(xkv.data)
+        grads = grads_of(lambda: T.attention(xq, xkv, 2, *params), [xq, xkv, *params],
+                         readout)
+        assert [g is None for g in grads[:2]] == [not xq.requires_grad,
+                                                  not xkv.requires_grad]
+        assert all(g.shape == p.shape for g, p in zip(grads[2:], params))
 
     def test_checks(self):
-        q, k, v, mask, _ = self.make(3)
+        xq, xkv, (wq, wk, wv, bq, bv), mask, _ = self.make(3)
         with pytest.raises(T.ShapeError, match="divisible"):
-            T.attention(q, k, v, 3)
+            T.attention(xq, xkv, 3, wq, wk, wv)
         with pytest.raises(T.ShapeError, match="key_mask"):
-            T.attention(q, k, v, 2, mask[:, :4])
-        with pytest.raises(T.ShapeError):
-            T.attention(q, k, T.narrow(v, 1, 0, 4), 2)
+            T.attention(xq, xkv, 2, wq, wk, wv, key_mask=mask[:, :4])
+        with pytest.raises(T.ShapeError, match="xkv"):
+            T.attention(xq, T.narrow(xkv, 0, 0, 1), 2, wq, wk, wv)
+        with pytest.raises(T.ShapeError, match="width"):
+            T.attention(xq, xkv, 2, wq, wk, T.narrow(wv, 1, 0, 2))
+        with pytest.raises(T.ShapeError, match="width"):
+            T.attention(xkv, xkv, 2, wq, wk, wv)
+        with pytest.raises(T.ShapeError, match="biases"):
+            T.attention(xq, xkv, 2, wq, wk, wv, bq=T.narrow(bq, 0, 0, 2))
         with pytest.raises(T.DtypeError):
-            T.attention(q, k, Tensor(v.data.astype(np.float32)), 2)
-        bad = Tensor(np.where(np.arange(24).reshape(2, 3, 4) == 5, np.nan, q.data))
+            T.attention(xq, xkv, 2, wq, wk, Tensor(wv.data.astype(np.float32)))
+        with pytest.raises(T.DtypeError):
+            T.attention(xq, xkv, 2, wq, wk, wv, bv=Tensor(bv.data.astype(np.float32)))
+        bad = Tensor(np.where(np.arange(18).reshape(2, 3, 3) == 5, np.nan, xq.data))
         with pytest.raises(T.NonFiniteError, match="non-finite"):
-            T.attention(bad, k, v, 2)
+            T.attention(bad, xkv, 2, wq, wk, wv)
 
 
 def tile_samples(h, Lq, Lk, dtype):
@@ -644,33 +711,41 @@ def tile_samples(h, Lq, Lk, dtype):
 
 
 class TestTiledAttention:
-    """Batches of several tiles: backward recomputes each tile's
+    """Batches of several tiles: backward recomputes q/k/v and each tile's
     probabilities from its row max and sum instead of keeping them."""
 
     @settings(deadline=None, max_examples=40)
     @given(h=st.sampled_from([1, 2]), dh=st.integers(1, 3), Lq=st.integers(16, 40),
            Lk=st.integers(16, 40), dtype=st.sampled_from([np.float32, np.float64]),
-           masked=st.booleans(), tiles=st.integers(2, 3), seed=st.integers(0, 2**16))
-    def test_equals_primitive_graph(self, h, dh, Lq, Lk, dtype, masked, tiles, seed):
+           masked=st.booleans(), biases=st.booleans(), tiles=st.integers(2, 3),
+           seed=st.integers(0, 2**16))
+    def test_equals_primitive_graph(self, h, dh, Lq, Lk, dtype, masked, biases, tiles, seed):
         step = tile_samples(h, Lq, Lk, dtype)
         assert step >= 2
         rng = np.random.default_rng(seed)
         B = step * (tiles - 1) + int(rng.integers(1, step))     # uneven last tile
         d = h * dh
-        q, k, v = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
-                   for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
+        xq, xkv, params = attention_leaves(rng, B, Lq, Lk, 3, 2, d, dtype, biases)
         mask = None
         if masked:
             mask = rng.random((B, Lk)) < 0.7
             mask[:, 0] = True
         readout = rng.standard_normal((B, Lq, d)).astype(dtype)
-        out = T.attention(q, k, v, h, mask)
-        ref = attention_composite(q, k, v, h, mask)
-        assert out.data.dtype == dtype and np.array_equal(out.data, ref.data)
-        g_tiled = grads_of(lambda: T.attention(q, k, v, h, mask), [q, k, v], readout)
-        g_ref = grads_of(lambda: attention_composite(q, k, v, h, mask), [q, k, v], readout)
-        for a, r in zip(g_tiled, g_ref):
-            assert a.dtype == dtype and np.array_equal(a, r)
+        leaves = present(xq, xkv, *params)
+        fused = lambda: T.attention(xq, xkv, h, *params, key_mask=mask)    # noqa: E731
+        ref = lambda: projected_composite(xq, xkv, h, *params, key_mask=mask)    # noqa: E731
+        out = fused()
+        assert out.data.dtype == dtype and np.array_equal(out.data, ref().data)
+        bias_ids = {id(b) for b in params[3:]}
+        for t, a, r in zip(leaves, grads_of(fused, leaves, readout),
+                           grads_of(ref, leaves, readout)):
+            assert a.dtype == dtype
+            if dh == 1 and id(t) in bias_ids:
+                # one value per head: the primitive head merge hands the
+                # bias a strided gradient, whose sum rounds in another order
+                npt.assert_allclose(a, r, rtol=1e-5, atol=1e-4)
+            else:
+                assert np.array_equal(a, r)
 
     @NON_FINITE
     def test_non_finite_logit_in_a_later_tile(self, bad):
@@ -678,37 +753,38 @@ class TestTiledAttention:
         step = tile_samples(h, Lq, Lk, np.float64)
         B = 2 * step + step // 2
         rng = np.random.default_rng(7)
-        q = np.abs(rng.standard_normal((B, Lq, d))) + 0.1
-        k, v = rng.standard_normal((B, Lk, d)), rng.standard_normal((B, Lk, d))
-        k[-1, 1, 0] = bad       # the last tile's head 0, every query
+        # positive queries and key weights: the bad input entry makes its
+        # key's whole row, so every head's logit for it, non-finite
+        xq = np.abs(rng.standard_normal((B, Lq, d))) + 0.1
+        xkv = rng.standard_normal((B, Lk, d))
+        xkv[-1, 1, 0] = bad     # the last tile's key 1, every query
+        wk = np.abs(rng.standard_normal((d, d))) + 0.1
         with pytest.raises(T.NonFiniteError,
-                           match=rf"attention: softmax input has {Lq} non-finite entries"):
-            T.attention(t64(q), t64(k), t64(v), h)
+                           match=rf"attention: softmax input has {h * Lq} non-finite entries"):
+            T.attention(t64(xq), t64(xkv), h, t64(np.eye(d)), t64(wk),
+                        t64(rng.standard_normal((d, d))))
 
     @pytest.mark.parametrize("last_tile", ["half", "one_sample"])
     def test_graph_keeps_no_probabilities(self, last_tile):
         h, Lq, Lk, d = 2, 64, 48, 8
         step = tile_samples(h, Lq, Lk, np.float64)
         B = 2 * step + (step // 2 if last_tile == "half" else 1)
-        probs_bytes = B * h * Lq * Lk * 8
-        io_bytes = B * (2 * Lq + 2 * Lk) * d * 8     # q/k/v head splits and the output
+        out_bytes = B * Lq * d * 8
         stats_bytes = 2 * B * h * Lq * 8              # row max and row sum
         rng = np.random.default_rng(8)
-        leaves = [t64(rng.standard_normal((B, L, d)), requires_grad=True)
-                  for L in (Lq, Lk, Lk)]
+        xq, xkv, params = attention_leaves(rng, B, Lq, Lk, d, d, d, np.float64)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            # q/k/v are op results the caller drops, as projections are in the model
-            result = T.attention(*(T.scale(t, 1.0) for t in leaves), h)
+            result = T.attention(xq, xkv, h, *params)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held - io_bytes < probs_bytes
-        # nothing else: no view that pins a whole q/k/v array for one tile
-        assert held < io_bytes + stats_bytes + 32 * 1024
+        # beyond the inputs and weights, which outlive the call anyway, the
+        # node keeps no probabilities, no q/k/v and no head split of them
+        assert held < out_bytes + stats_bytes + 32 * 1024
         backward(T.tsum(result))
-        assert all(t.grad.shape == t.shape for t in leaves)
+        assert all(t.grad.shape == t.shape for t in present(xq, xkv, *params))
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +796,13 @@ class TestLeafOnlyGradients:
         rng = np.random.default_rng(33)
         x = t64(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = t64(rng.standard_normal((4, 4)), requires_grad=True)
+        wq, wk, wv = (t64(rng.standard_normal((4, 4)), requires_grad=True) for _ in range(3))
         h = T.linear(x, w)
-        out = T.attention(h, h, h, 2)
+        out = T.attention(h, h, 2, wq, wk, wv)
         r = T.relu(out)
         loss = T.tsum(r)
         backward(loss)
-        assert x.grad is not None and w.grad is not None
+        assert all(t.grad is not None for t in (x, w, wq, wk, wv))
         for node in (h, out, r, loss):
             assert node.grad is None
 
