@@ -35,9 +35,10 @@ print("elastic net (alpha=1, beta=0.5):",
       elastic_net_channel(v, 1.0, 0.5).data)
 
 # 3. Cross attention, pooled mode: softmax over a single key is forced to 1,
-#    so each direction reduces exactly to a value projection.
-attn = CrossModalAttention(8, 2, np.random.default_rng(2), mode="pooled",
-                           dtype=np.float64)
+#    so each direction reduces exactly to a value projection. Modules are
+#    built float32; ``astype`` casts this one to match the float64 inputs.
+attn = CrossModalAttention(8, 2, np.random.default_rng(2),
+                           mode="pooled").astype(np.float64)
 t_pool = rng.standard_normal((2, 8))
 i_pool = rng.standard_normal((2, 8))
 fused = attn(Tensor(t_pool), None, None, Tensor(i_pool), None)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .bench import FULL_SCALE_REFERENCE, bench_attention
-from .checkpoint import CheckpointError, load_into, save_checkpoint
+from .checkpoint import load_into, save_checkpoint
 from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
                    load_dataset, save_dataset)
 from .decision import VOTE_STRATEGIES
@@ -24,6 +24,7 @@ from .fields import ConfigError, from_dict
 from .fusion import ATTENTION_MODES
 from .metrics import save_metrics
 from .model import MultimodalClassifier, RunConfig
+from .tensor import NonFiniteError
 from .train import TrainingDiverged, evaluate_metrics, train_model
 
 GAMMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -281,10 +282,10 @@ def main(argv=None) -> int:
     except DatasetError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, NonFiniteError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except (DatasetIOError, CheckpointError, OSError) as exc:
+    except OSError as exc:   # DatasetIOError and CheckpointError included
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

@@ -413,9 +413,10 @@ def load_dataset(in_dir) -> Dataset:
     ``split`` string, a record the model cannot consume (a label outside
     the spec's classes, a split not in ``SPLITS``, an empty token list or
     one longer than ``sentence_len`` allows, a token id outside the
-    vocabulary), image bytes that do not fit the record, or no ``train`` or
-    no ``test`` record (training would take no step, evaluation would read
-    nothing).
+    vocabulary), image bytes that do not fit the record, a pixel value
+    outside [0, 1] or not finite (the encoders read pixels in [0, 1]), or no
+    ``train`` or no ``test`` record (training would take no step, evaluation
+    would read nothing).
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -467,6 +468,13 @@ def load_dataset(in_dir) -> Dataset:
     missing = [name for name in ("train", "test") if all(s.split != name for s in samples)]
     if missing:
         raise DatasetIOError(f"dataset at {in_dir} has no {' and no '.join(missing)} records")
+    pixels = np.stack([s.image for s in samples])
+    bad = ~((pixels >= 0.0) & (pixels <= 1.0))      # NaN fails both
+    if bad.any():
+        first = int(np.argmax(bad.reshape(len(samples), -1).any(axis=1)))
+        raise DatasetIOError(
+            f"images.bin at {in_dir} has {int(bad.sum())} pixel values outside "
+            f"[0, 1] or not finite, the first in sample record {first}")
     return Dataset(spec=spec, samples=samples, vocab=dict(doc["vocab"]),
                    pattern_of=list(doc["pattern_of"]),
                    keyword_of=list(doc["keyword_of"]),

@@ -56,13 +56,12 @@ class VoteWeights:
 class BranchClassifier(Module):
     """Affine map plus row softmax, independent parameters per branch."""
 
-    def __init__(self, d_in, n_classes, branch, rng, dtype=np.float32):
+    def __init__(self, d_in, n_classes, branch, rng):
         super().__init__()
         if branch not in BRANCHES:
             raise ValueError(f"unknown branch {branch!r}")
         self.branch = branch
-        self.n_classes = n_classes
-        self.proj = Linear(d_in, n_classes, rng, dtype=dtype)
+        self.proj = Linear(d_in, n_classes, rng)
 
     def __call__(self, x: Tensor) -> BranchPrediction:
         logits = self.proj(x)

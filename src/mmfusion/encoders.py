@@ -121,17 +121,17 @@ ENCODER_INIT_STD = 0.02
 class _BlockStack(Module):
     """n_layers transformer applications; one parameter set when shared."""
 
-    def __init__(self, cfg: EncoderConfig, rng, dtype):
+    def __init__(self, cfg: EncoderConfig, rng):
         super().__init__()
         self.n_layers = cfg.n_layers
         self.share_layers = cfg.share_layers
         if cfg.share_layers:
             self.block = TransformerBlock(cfg.d_model, cfg.n_heads, cfg.ffn_width,
-                                          rng, dtype, std=ENCODER_INIT_STD)
+                                          rng, std=ENCODER_INIT_STD)
         else:
             self.blocks = ModuleList(
                 TransformerBlock(cfg.d_model, cfg.n_heads, cfg.ffn_width, rng,
-                                 dtype, std=ENCODER_INIT_STD)
+                                 std=ENCODER_INIT_STD)
                 for _ in range(cfg.n_layers))
 
     def __call__(self, x, key_mask=None):
@@ -149,17 +149,15 @@ class TextEncoder(Module):
     width, then a (possibly weight-shared) transformer stack. The global
     embedding is the mean over non-pad positions."""
 
-    def __init__(self, cfg: EncoderConfig, vocab_size: int, rng=None, dtype=np.float32):
+    def __init__(self, cfg: EncoderConfig, vocab_size: int, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.cfg = cfg
-        self.vocab_size = vocab_size
         E = cfg.embedding_dim
-        self.word_emb = Tensor(trunc_normal(rng, (vocab_size, E), dtype=dtype), requires_grad=True)
-        self.pos_emb = Tensor(trunc_normal(rng, (cfg.max_len, E), dtype=dtype), requires_grad=True)
-        self.seg_emb = Tensor(np.zeros(E, dtype=dtype), requires_grad=True)
-        self.input_proj = Linear(E, cfg.d_model, rng, dtype=dtype, std=ENCODER_INIT_STD)
-        self.stack = _BlockStack(cfg, rng, dtype)
+        self.word_emb = Tensor(trunc_normal(rng, (vocab_size, E)), requires_grad=True)
+        self.pos_emb = Tensor(trunc_normal(rng, (cfg.max_len, E)), requires_grad=True)
+        self.seg_emb = Tensor(np.zeros(E, dtype=np.float32), requires_grad=True)
+        self.input_proj = Linear(E, cfg.d_model, rng, std=ENCODER_INIT_STD)
+        self.stack = _BlockStack(cfg, rng)
 
     def __call__(self, batch: TextBatch) -> EncoderOutput:
         ids = batch.token_ids
@@ -200,23 +198,20 @@ class ImageEncoder(Module):
     stack. The global embedding is the CLS output position."""
 
     def __init__(self, cfg: EncoderConfig, image_size: int, patch_size: int,
-                 channels: int = 1, rng=None, dtype=np.float32):
+                 channels: int, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         if image_size % patch_size:
             raise T.ShapeError(
                 f"ImageEncoder: patch size {patch_size} does not divide {image_size}")
         self.cfg = cfg
         self.patch_size = patch_size
-        self.channels = channels
-        self.n_patches = (image_size // patch_size) ** 2
+        n_patches = (image_size // patch_size) ** 2
         d = cfg.d_model
-        self.patch_proj = Linear(patch_size * patch_size * channels, d, rng, dtype=dtype,
+        self.patch_proj = Linear(patch_size * patch_size * channels, d, rng,
                                  std=ENCODER_INIT_STD)
-        self.cls_token = Tensor(trunc_normal(rng, (d,), dtype=dtype), requires_grad=True)
-        self.pos_emb = Tensor(
-            trunc_normal(rng, (self.n_patches + 1, d), dtype=dtype), requires_grad=True)
-        self.stack = _BlockStack(cfg, rng, dtype)
+        self.cls_token = Tensor(trunc_normal(rng, (d,)), requires_grad=True)
+        self.pos_emb = Tensor(trunc_normal(rng, (n_patches + 1, d)), requires_grad=True)
+        self.stack = _BlockStack(cfg, rng)
 
     def __call__(self, batch: ImageBatch) -> EncoderOutput:
         pixels = batch.pixels

@@ -69,9 +69,9 @@ def elastic_net_channel(x: Tensor, alpha: float, beta: float) -> Tensor:
 class UnimodalFusionHead(Module):
     """concat(channel1, channel2) -> linear -> ReLU, one head per modality."""
 
-    def __init__(self, d_in, d_out, rng, dtype=np.float32):
+    def __init__(self, d_in, d_out, rng):
         super().__init__()
-        self.proj = Linear(2 * d_in, d_out, rng, dtype=dtype)
+        self.proj = Linear(2 * d_in, d_out, rng)
 
     def __call__(self, ch1: Tensor, ch2: Tensor) -> Tensor:
         if ch1.shape != ch2.shape:
@@ -88,13 +88,12 @@ class SelfAttentionPool(Module):
     be checked in isolation.
     """
 
-    def __init__(self, d, n_heads, ffn_width, rng, dtype=np.float32,
-                 identity_block=False):
+    def __init__(self, d, n_heads, ffn_width, rng, identity_block=False):
         super().__init__()
         self.identity_block = identity_block
         if not identity_block:
-            self.block = TransformerBlock(d, n_heads, ffn_width, rng, dtype=dtype)
-        self.norm = LayerNorm(d, dtype=dtype)
+            self.block = TransformerBlock(d, n_heads, ffn_width, rng)
+        self.norm = LayerNorm(d)
 
     def __call__(self, seq: Tensor):
         if seq.shape[1] < 1:
@@ -131,21 +130,20 @@ class TextConvPool(Module):
 
     WINDOWS = (1, 2, 3)
 
-    def __init__(self, d, rng, dtype=np.float32):
+    def __init__(self, d, rng):
         super().__init__()
-        self.d = d
         # fan-scaled init: these layers are trained from scratch
-        self.conv_w1 = Tensor(trunc_normal(rng, (1 * d, d), std=1.0 / np.sqrt(d),
-                                           dtype=dtype), requires_grad=True)
-        self.conv_b1 = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.conv_w2 = Tensor(trunc_normal(rng, (2 * d, d), std=1.0 / np.sqrt(2 * d),
-                                           dtype=dtype), requires_grad=True)
-        self.conv_b2 = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.conv_w3 = Tensor(trunc_normal(rng, (3 * d, d), std=1.0 / np.sqrt(3 * d),
-                                           dtype=dtype), requires_grad=True)
-        self.conv_b3 = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.mix = Linear(3 * d, d, rng, dtype=dtype)
-        self.norm = LayerNorm(d, dtype=dtype)
+        self.conv_w1 = Tensor(trunc_normal(rng, (1 * d, d), std=1.0 / np.sqrt(d)),
+                              requires_grad=True)
+        self.conv_b1 = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
+        self.conv_w2 = Tensor(trunc_normal(rng, (2 * d, d), std=1.0 / np.sqrt(2 * d)),
+                              requires_grad=True)
+        self.conv_b2 = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
+        self.conv_w3 = Tensor(trunc_normal(rng, (3 * d, d), std=1.0 / np.sqrt(3 * d)),
+                              requires_grad=True)
+        self.conv_b3 = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
+        self.mix = Linear(3 * d, d, rng)
+        self.norm = LayerNorm(d)
 
     def __call__(self, seq: Tensor, pad_mask: np.ndarray | None = None):
         B, D, d = seq.shape
@@ -196,7 +194,7 @@ class CrossModalAttention(Module):
     instead of keeping them in the graph.
     """
 
-    def __init__(self, d, n_heads, rng, mode="sequence", dtype=np.float32):
+    def __init__(self, d, n_heads, rng, mode="sequence"):
         super().__init__()
         if mode not in ATTENTION_MODES:
             raise ValueError(f"cross_modal_attention: unknown mode {mode!r}")
@@ -205,12 +203,12 @@ class CrossModalAttention(Module):
                                f"by {n_heads} heads")
         self.mode = mode
         self.n_heads = n_heads
-        self.q_from_text = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.k_image = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.v_image = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.q_from_image = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.k_text = Linear(d, d, rng, bias=False, dtype=dtype)
-        self.v_text = Linear(d, d, rng, bias=False, dtype=dtype)
+        self.q_from_text = Linear(d, d, rng, bias=False)
+        self.k_image = Linear(d, d, rng, bias=False)
+        self.v_image = Linear(d, d, rng, bias=False)
+        self.q_from_image = Linear(d, d, rng, bias=False)
+        self.k_text = Linear(d, d, rng, bias=False)
+        self.v_text = Linear(d, d, rng, bias=False)
 
     def attend(self, text_query, image_kv, image_query, text_kv, text_mask=None):
         """Both directions over [B, L, d] sequences; ``text_mask`` marks the
@@ -244,11 +242,11 @@ class HybridAttentionFusion(Module):
     """Fig-style hybrid path: self-attention within each modality, then
     bidirectional cross attention. Consumes encoder context sequences."""
 
-    def __init__(self, d, n_heads, ffn_width, rng, mode="sequence", dtype=np.float32):
+    def __init__(self, d, n_heads, ffn_width, rng, mode="sequence"):
         super().__init__()
-        self.image_pool = SelfAttentionPool(d, n_heads, ffn_width, rng, dtype=dtype)
-        self.text_pool = TextConvPool(d, rng, dtype=dtype)
-        self.cross = CrossModalAttention(d, n_heads, rng, mode=mode, dtype=dtype)
+        self.image_pool = SelfAttentionPool(d, n_heads, ffn_width, rng)
+        self.text_pool = TextConvPool(d, rng)
+        self.cross = CrossModalAttention(d, n_heads, rng, mode=mode)
 
     def __call__(self, text_ctx: Tensor, text_mask: np.ndarray, image_ctx: Tensor) -> Tensor:
         image_pooled, image_updated = self.image_pool(image_ctx)
@@ -261,9 +259,9 @@ class ConcatLinearFusion(Module):
     """Attention-free interaction path: masked means of both context
     sequences, concatenated and linearly mixed (the ablation baseline)."""
 
-    def __init__(self, d, rng, dtype=np.float32):
+    def __init__(self, d, rng):
         super().__init__()
-        self.proj = Linear(2 * d, d, rng, dtype=dtype)
+        self.proj = Linear(2 * d, d, rng)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
         image_mask = np.ones(image_ctx.shape[:2], dtype=bool)
@@ -286,9 +284,9 @@ class MergedAttentionFusion(Module):
     """Concatenate the two context sequences, run self-attention over the
     merged sequence, mean-pool the real positions."""
 
-    def __init__(self, d, n_heads, ffn_width, rng, dtype=np.float32):
+    def __init__(self, d, n_heads, ffn_width, rng):
         super().__init__()
-        self.block = TransformerBlock(d, n_heads, ffn_width, rng, dtype=dtype)
+        self.block = TransformerBlock(d, n_heads, ffn_width, rng)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
         return _merged_self_attention(self.block, text_ctx, text_mask, image_ctx)
@@ -298,10 +296,10 @@ class InteractionEncoderFusion(Module):
     """Cross-attention between the raw sequences first, then self-attention
     over the concatenated interaction sequence, then pooling."""
 
-    def __init__(self, d, n_heads, ffn_width, rng, dtype=np.float32):
+    def __init__(self, d, n_heads, ffn_width, rng):
         super().__init__()
-        self.cross = CrossModalAttention(d, n_heads, rng, dtype=dtype)
-        self.block = TransformerBlock(d, n_heads, ffn_width, rng, dtype=dtype)
+        self.cross = CrossModalAttention(d, n_heads, rng)
+        self.block = TransformerBlock(d, n_heads, ffn_width, rng)
 
     def __call__(self, text_ctx, text_mask, image_ctx):
         from_image, from_text = self.cross.attend(
@@ -309,12 +307,11 @@ class InteractionEncoderFusion(Module):
         return _merged_self_attention(self.block, from_image, text_mask, from_text)
 
 
-def build_interaction_path(topology, d, n_heads, ffn_width, rng, mode="sequence",
-                           dtype=np.float32):
+def build_interaction_path(topology, d, n_heads, ffn_width, rng, mode="sequence"):
     if topology == "hybrid":
-        return HybridAttentionFusion(d, n_heads, ffn_width, rng, mode=mode, dtype=dtype)
+        return HybridAttentionFusion(d, n_heads, ffn_width, rng, mode=mode)
     if topology == "merged":
-        return MergedAttentionFusion(d, n_heads, ffn_width, rng, dtype=dtype)
+        return MergedAttentionFusion(d, n_heads, ffn_width, rng)
     if topology == "interaction":
-        return InteractionEncoderFusion(d, n_heads, ffn_width, rng, dtype=dtype)
+        return InteractionEncoderFusion(d, n_heads, ffn_width, rng)
     raise ValueError(f"unknown attention topology {topology!r}")

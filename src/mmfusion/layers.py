@@ -7,11 +7,13 @@ import numpy as np
 from . import tensor as T
 from .tensor import Module, Tensor
 
+LAYER_NORM_EPS = 1e-5
 
-def trunc_normal(rng: np.random.Generator, shape, std=0.02, dtype=np.float32):
+
+def trunc_normal(rng: np.random.Generator, shape, std=0.02):
     """Truncated-normal init at +-2 std, the usual transformer choice."""
     vals = rng.standard_normal(shape) * std
-    return np.clip(vals, -2 * std, 2 * std).astype(dtype)
+    return np.clip(vals, -2 * std, 2 * std).astype(np.float32)
 
 
 class Linear(Module):
@@ -21,26 +23,25 @@ class Linear(Module):
     freshly trained layers); encoder stacks pass an explicit 0.02.
     """
 
-    def __init__(self, d_in, d_out, rng, bias=True, dtype=np.float32, std=None):
+    def __init__(self, d_in, d_out, rng, bias=True, std=None):
         super().__init__()
         std = 1.0 / np.sqrt(d_in) if std is None else std
-        self.weight = Tensor(trunc_normal(rng, (d_in, d_out), std=std, dtype=dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
+        self.weight = Tensor(trunc_normal(rng, (d_in, d_out), std=std), requires_grad=True)
+        self.bias = (Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
+                     if bias else None)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, d, eps=1e-5, dtype=np.float32):
+    def __init__(self, d):
         super().__init__()
-        self.eps = eps
-        self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
+        self.gain = Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
 
 
 class MultiHeadSelfAttention(Module):
@@ -53,17 +54,17 @@ class MultiHeadSelfAttention(Module):
     recomputes q/k/v in backward instead of keeping them in the graph.
     """
 
-    def __init__(self, d, n_heads, rng, dtype=np.float32, std=None):
+    def __init__(self, d, n_heads, rng, std=None):
         super().__init__()
         if d % n_heads:
             raise T.ShapeError(f"attention: d_model {d} not divisible by {n_heads} heads")
         self.n_heads = n_heads
-        self.q_proj = Linear(d, d, rng, dtype=dtype, std=std)
+        self.q_proj = Linear(d, d, rng, std=std)
         # a key bias shifts every logit of a query equally and cancels in
         # softmax, leaving a parameter with an identically zero gradient
-        self.k_proj = Linear(d, d, rng, bias=False, dtype=dtype, std=std)
-        self.v_proj = Linear(d, d, rng, dtype=dtype, std=std)
-        self.o_proj = Linear(d, d, rng, dtype=dtype, std=std)
+        self.k_proj = Linear(d, d, rng, bias=False, std=std)
+        self.v_proj = Linear(d, d, rng, std=std)
+        self.o_proj = Linear(d, d, rng, std=std)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
         q, k, v = self.q_proj, self.k_proj, self.v_proj
@@ -72,10 +73,10 @@ class MultiHeadSelfAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, d, width, rng, dtype=np.float32, std=None):
+    def __init__(self, d, width, rng, std=None):
         super().__init__()
-        self.inner = Linear(d, width, rng, dtype=dtype, std=std)
-        self.outer = Linear(width, d, rng, dtype=dtype, std=std)
+        self.inner = Linear(d, width, rng, std=std)
+        self.outer = Linear(width, d, rng, std=std)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.outer(T.relu(self.inner(x)))
@@ -84,12 +85,12 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Post-norm block: LN(x + attn(x)) then LN(h + ffn(h))."""
 
-    def __init__(self, d, n_heads, ffn_width, rng, dtype=np.float32, std=None):
+    def __init__(self, d, n_heads, ffn_width, rng, std=None):
         super().__init__()
-        self.attn = MultiHeadSelfAttention(d, n_heads, rng, dtype=dtype, std=std)
-        self.norm1 = LayerNorm(d, dtype=dtype)
-        self.ffn = FeedForward(d, ffn_width, rng, dtype=dtype, std=std)
-        self.norm2 = LayerNorm(d, dtype=dtype)
+        self.attn = MultiHeadSelfAttention(d, n_heads, rng, std=std)
+        self.norm1 = LayerNorm(d)
+        self.ffn = FeedForward(d, ffn_width, rng, std=std)
+        self.norm2 = LayerNorm(d)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
         h = self.norm1(T.add(x, self.attn(x, key_mask)))

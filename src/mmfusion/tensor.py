@@ -866,7 +866,8 @@ class Module:
             p.grad = None
 
     def astype(self, dtype):
-        """Cast all parameters in place (float32 <-> float64)."""
+        """Cast all parameters in place (float32 <-> float64). Modules are
+        built float32; this is the one way to get a float64 model."""
         if np.dtype(dtype).name not in DTYPES:
             raise DtypeError(f"astype: unsupported dtype {dtype}")
         for p in self.parameters():

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ def _extra_entry(manifest):
     return json.dumps(manifest)
 
 
+def _first_nan(values):
+    values[0] = np.nan
+
+
+def _all_huge(values):
+    values.fill(1e20)
+
+
+def _first_above_one(values):
+    values[0] = 2.0
+
+
+def _last_nan(values):
+    values[-1] = np.nan
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")
@@ -268,6 +285,31 @@ class TestCorruptCheckpoint:
         assert main(["eval", "--config", config, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 4
         assert "crc32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [_first_nan, _all_huge],
+                             ids=["nan_weight", "huge_weights"])
+    def test_non_finite_forward_exits_3(self, trained_checkpoint, tmp_path, capsys,
+                                        edit):
+        # the entry's crc32 is recomputed, so the checkpoint loads and only
+        # the numbers are wrong; attention's softmax input goes non-finite
+        config, good = trained_checkpoint
+        bad = tmp_path / "checkpoint"
+        shutil.copytree(good, bad)
+        manifest = json.loads((good / "manifest.json").read_text())
+        entry = manifest["image_encoder.patch_proj.weight"]
+        start, stop = entry["offset"], entry["offset"] + entry["length"]
+        blob = bytearray((good / "weights.bin").read_bytes())
+        weights = np.frombuffer(bytes(blob[start:stop]), dtype="<f4").copy()
+        edit(weights)
+        blob[start:stop] = weights.tobytes()
+        entry["crc32"] = zlib.crc32(weights.tobytes())
+        (bad / "weights.bin").write_bytes(bytes(blob))
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--config", config, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "non-finite" in err
+        assert "Traceback" not in err
 
 
 def _fuzz_checkpoint_file(read, data):
@@ -398,6 +440,26 @@ class TestCorruptDataset:
         assert main(["train", "--config", tiny_config, "--data", str(data_dir),
                      "--out", str(tmp_path / "run")]) == 4
         assert "crc32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [_first_above_one, _last_nan],
+                             ids=["pixel_above_one", "nan_pixel"])
+    def test_bad_pixels_exit_4_without_traceback(self, tiny_config, tmp_path, edit):
+        # images_crc32 is recomputed, so only the pixel values are wrong
+        data_dir = tmp_path / "ds"
+        assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
+        pixels = np.fromfile(data_dir / "images.bin", dtype="<f4")
+        edit(pixels)
+        (data_dir / "images.bin").write_bytes(pixels.tobytes())
+        doc = json.loads((data_dir / "dataset.json").read_text())
+        doc["images_crc32"] = zlib.crc32(pixels.tobytes())
+        (data_dir / "dataset.json").write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmfusion", "train", "--config", tiny_config,
+             "--data", str(data_dir), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert "outside [0, 1] or not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAblate:

@@ -20,22 +20,22 @@ def make_pred(probs, branch):
 
 class TestBranchClassifier:
     def test_zero_weights_give_uniform_distribution(self):
-        clf = BranchClassifier(3, 4, "text", np.random.default_rng(0), dtype=np.float64)
+        clf = BranchClassifier(3, 4, "text", np.random.default_rng(0)).astype(np.float64)
         for p in clf.parameters():
             p.data = np.zeros_like(p.data)
         out = clf(t64(np.random.default_rng(1).standard_normal((2, 3))))
         npt.assert_allclose(out.probs.data, np.full((2, 4), 0.25), atol=1e-12)
 
     def test_argmax_preserved_by_softmax(self):
-        clf = BranchClassifier(3, 5, "image", np.random.default_rng(2), dtype=np.float64)
+        clf = BranchClassifier(3, 5, "image", np.random.default_rng(2)).astype(np.float64)
         x = t64(np.random.default_rng(3).standard_normal((6, 3)))
         out = clf(x)
         npt.assert_array_equal(np.argmax(out.probs.data, axis=1),
                                np.argmax(out.logits.data, axis=1))
 
     def test_probs_match_exp_sum_oracle(self):
-        clf = BranchClassifier(3, 4, "interaction", np.random.default_rng(4),
-                               dtype=np.float64)
+        clf = BranchClassifier(3, 4, "interaction",
+                               np.random.default_rng(4)).astype(np.float64)
         x = t64(np.random.default_rng(5).standard_normal((3, 3)))
         out = clf(x)
         e = np.exp(out.logits.data)
@@ -187,7 +187,7 @@ def test_loss_breakdown_combine_formula():
 
 def test_positive_logit_scaling_preserves_every_branch_argmax():
     rng = np.random.default_rng(11)
-    clf = BranchClassifier(4, 5, "text", rng, dtype=np.float64)
+    clf = BranchClassifier(4, 5, "text", rng).astype(np.float64)
     x = t64(rng.standard_normal((8, 4)))
     base = clf(x)
     for c in (0.1, 3.0, 250.0):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmfusion import decision, encoders, fusion, layers, model
 from mmfusion.data import MIN_TEXT_WIDTH, SyntheticSpec
 from mmfusion.decision import VOTE_STRATEGIES
 from mmfusion.fields import ConfigError, bounded, field_problems
 from mmfusion.fusion import ATTENTION_MODES, TOPOLOGIES
 from mmfusion.model import (MODALITIES, DecisionSettings, EncoderConfig,
                             FusionSettings, RunConfig, TrainerSettings)
+from mmfusion.tensor import Module
 
 
 def leaves(obj, prefix=""):
@@ -46,6 +49,49 @@ KNOBS = [
 def test_knob_census():
     assert [name for name, _ in leaves(RunConfig())] == KNOBS
     assert len(KNOBS) == 44
+
+
+# The parameters of every module constructor and initializer. Modules are
+# built float32 from shapes and an rng (``Module.astype`` casts); a knob that
+# only passes through to children, or that every caller leaves at one value,
+# does not belong here. Adding a parameter is a design decision: edit this
+# table in the same change and say why.
+CONSTRUCTORS = {
+    "layers.trunc_normal": ["rng", "shape", "std"],
+    "layers.Linear": ["d_in", "d_out", "rng", "bias", "std"],
+    "layers.LayerNorm": ["d"],
+    "layers.MultiHeadSelfAttention": ["d", "n_heads", "rng", "std"],
+    "layers.FeedForward": ["d", "width", "rng", "std"],
+    "layers.TransformerBlock": ["d", "n_heads", "ffn_width", "rng", "std"],
+    "fusion.UnimodalFusionHead": ["d_in", "d_out", "rng"],
+    "fusion.SelfAttentionPool": ["d", "n_heads", "ffn_width", "rng", "identity_block"],
+    "fusion.TextConvPool": ["d", "rng"],
+    "fusion.CrossModalAttention": ["d", "n_heads", "rng", "mode"],
+    "fusion.HybridAttentionFusion": ["d", "n_heads", "ffn_width", "rng", "mode"],
+    "fusion.ConcatLinearFusion": ["d", "rng"],
+    "fusion.MergedAttentionFusion": ["d", "n_heads", "ffn_width", "rng"],
+    "fusion.InteractionEncoderFusion": ["d", "n_heads", "ffn_width", "rng"],
+    "fusion.build_interaction_path": ["topology", "d", "n_heads", "ffn_width", "rng",
+                                      "mode"],
+    "encoders._BlockStack": ["cfg", "rng"],
+    "encoders.TextEncoder": ["cfg", "vocab_size", "rng"],
+    "encoders.ImageEncoder": ["cfg", "image_size", "patch_size", "channels", "rng"],
+    "decision.BranchClassifier": ["d_in", "n_classes", "branch", "rng"],
+    "model.MultimodalClassifier": ["cfg", "vocab_size"],
+}
+MODULE_FILES = (layers, fusion, encoders, decision, model)
+
+
+def test_constructor_census():
+    found = {f"{mod.__name__.rsplit('.', 1)[1]}.{name}": obj
+             for mod in MODULE_FILES for name, obj in vars(mod).items()
+             if inspect.isclass(obj) and issubclass(obj, Module)
+             and obj.__module__ == mod.__name__}
+    found["layers.trunc_normal"] = layers.trunc_normal
+    found["fusion.build_interaction_path"] = fusion.build_interaction_path
+    assert sorted(found) == sorted(CONSTRUCTORS)
+    for name, obj in found.items():
+        assert list(inspect.signature(obj).parameters) == CONSTRUCTORS[name], name
 
 
 unit = st.floats(0, 1)

@@ -121,13 +121,13 @@ class TestElasticNetChannel:
 
 class TestUnimodalFusionHead:
     def test_zero_inputs_zero_bias_gives_zero(self):
-        head = UnimodalFusionHead(3, 4, np.random.default_rng(0), dtype=np.float64)
+        head = UnimodalFusionHead(3, 4, np.random.default_rng(0)).astype(np.float64)
         out = head(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
         npt.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_blockwise_linearity_oracle(self):
         rng = np.random.default_rng(1)
-        head = UnimodalFusionHead(3, 4, rng, dtype=np.float64)
+        head = UnimodalFusionHead(3, 4, rng).astype(np.float64)
         ch1 = rng.standard_normal((2, 3))
         ch2 = rng.standard_normal((2, 3))
         out = head(t64(ch1), t64(ch2)).data
@@ -143,7 +143,7 @@ class TestUnimodalFusionHead:
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
-        head = UnimodalFusionHead(3, 4, rng, dtype=np.float64)
+        head = UnimodalFusionHead(3, 4, rng).astype(np.float64)
         ch2 = t64(rng.standard_normal((2, 3)))
         x = t64(rng.standard_normal((2, 3)), requires_grad=True)
         assert finite_diff_check(lambda v: T.tsum(head(v, ch2)), x) < 1e-4
@@ -152,7 +152,7 @@ class TestUnimodalFusionHead:
 class TestSelfAttentionPool:
     def test_single_region_identity_hook(self):
         pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(3),
-                                 dtype=np.float64, identity_block=True)
+                                 identity_block=True).astype(np.float64)
         x = np.random.default_rng(4).standard_normal((2, 1, 4))
         pooled, updated = pool(t64(x))
         # mean of one vector is itself, then LayerNorm
@@ -163,7 +163,7 @@ class TestSelfAttentionPool:
 
     def test_identity_hook_reduces_to_normalized_mean(self):
         pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(5),
-                                 dtype=np.float64, identity_block=True)
+                                 identity_block=True).astype(np.float64)
         x = np.random.default_rng(6).standard_normal((3, 5, 4))
         pooled, _ = pool(t64(x))
         m = x.mean(axis=1)
@@ -172,7 +172,7 @@ class TestSelfAttentionPool:
         npt.assert_allclose(pooled.data, expect, atol=1e-9)
 
     def test_permutation_invariance_without_positions(self):
-        pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(7), dtype=np.float64)
+        pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(7)).astype(np.float64)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 6, 4))
         perm = rng.permutation(6)
@@ -188,7 +188,7 @@ class TestSelfAttentionPool:
 
 class TestTextConvPool:
     def make(self, d=4, seed=10):
-        return TextConvPool(d, np.random.default_rng(seed), dtype=np.float64)
+        return TextConvPool(d, np.random.default_rng(seed)).astype(np.float64)
 
     def test_zero_weights_give_zero_vector(self):
         pool = self.make()
@@ -259,8 +259,8 @@ class TestTextConvPool:
 
 class TestCrossModalAttention:
     def make(self, mode, d=4, seed=15):
-        return CrossModalAttention(d, 2, np.random.default_rng(seed), mode=mode,
-                                   dtype=np.float64)
+        return CrossModalAttention(d, 2, np.random.default_rng(seed),
+                                   mode=mode).astype(np.float64)
 
     def test_pooled_mode_reduces_to_value_projection(self):
         attn = self.make("pooled")
@@ -316,7 +316,7 @@ class TestCrossModalAttention:
         # each direction is one attention node fed the inputs and the
         # projection weights; the module's Linear projections feeding the
         # primitive attention graph give the same bits, gradients included
-        attn = CrossModalAttention(4, 2, np.random.default_rng(40), dtype=np.float32)
+        attn = CrossModalAttention(4, 2, np.random.default_rng(40))
         rng = np.random.default_rng(41)
         text, image = (Tensor(rng.standard_normal((2, L, 4)).astype(np.float32),
                               requires_grad=True) for L in (5, 6))
@@ -374,13 +374,13 @@ class TestTopologies:
 
     def test_output_shapes(self):
         for cls in (MergedAttentionFusion, InteractionEncoderFusion):
-            mod = cls(4, 2, 8, np.random.default_rng(20), dtype=np.float64)
+            mod = cls(4, 2, 8, np.random.default_rng(20)).astype(np.float64)
             out = mod(self.text_ctx, self.text_mask, self.image_ctx)
             assert out.shape == (2, 4)
-        hybrid = HybridAttentionFusion(4, 2, 8, np.random.default_rng(21),
-                                       dtype=np.float64)
+        hybrid = HybridAttentionFusion(4, 2, 8,
+                                       np.random.default_rng(21)).astype(np.float64)
         assert hybrid(self.text_ctx, self.text_mask, self.image_ctx).shape == (2, 4)
-        plain = ConcatLinearFusion(4, np.random.default_rng(22), dtype=np.float64)
+        plain = ConcatLinearFusion(4, np.random.default_rng(22)).astype(np.float64)
         assert plain(self.text_ctx, self.text_mask, self.image_ctx).shape == (2, 4)
 
     def test_parameter_counts_match_analytic_formulas(self):
@@ -398,8 +398,8 @@ class TestTopologies:
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_gradient_flows_end_to_end(self, topology):
-        path = build_interaction_path(topology, 4, 2, 8, np.random.default_rng(23),
-                                      dtype=np.float64)
+        path = build_interaction_path(topology, 4, 2, 8,
+                                      np.random.default_rng(23)).astype(np.float64)
         x = t64(self.rng.standard_normal((2, 4, 4)), requires_grad=True)
         # the second sentence is padded, so the text-key mask is on the path
         mask = np.array([[True] * 4, [True, True, False, False]])

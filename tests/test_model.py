@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from mmfusion.data import SyntheticSpec, generate, labels_of
+from mmfusion.fusion import TOPOLOGIES
 from mmfusion.model import (ConfigError, DecisionSettings, EncoderConfig,
                             FusionSettings, MultimodalClassifier, RunConfig,
                             TrainerSettings)
@@ -117,6 +118,42 @@ class TestAssembly:
         batch = tiny_dataset.samples[:3]
         tb, ib = model.batches_for(batch, len(tiny_dataset.vocab))
         assert model.forward_batch(tb, ib)["interaction"].probs.shape == (3, 3)
+
+
+class TestDtype:
+    """Modules are built float32; ``Module.astype`` is the one way to get a
+    float64 model."""
+
+    @pytest.mark.parametrize("modality, topology",
+                             [("multimodal", t) for t in TOPOLOGIES]
+                             + [("image", "hybrid"), ("text", "hybrid")])
+    def test_float64_cast_trains_and_casts_back_bit_equal(self, tiny_dataset,
+                                                          modality, topology):
+        cfg = tiny_cfg(modality=modality, fusion=FusionSettings(topology=topology))
+        vocab = len(tiny_dataset.vocab)
+        fresh = MultimodalClassifier(cfg, vocab_size=vocab)
+        assert {p.dtype for p in fresh.parameters()} == {np.dtype(np.float32)}
+
+        model = MultimodalClassifier(cfg, vocab_size=vocab).astype(np.float64)
+        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float64)}
+        back = dict(MultimodalClassifier(cfg, vocab_size=vocab).astype(np.float64)
+                    .astype(np.float32).named_parameters())
+        assert list(back) == [n for n, _ in fresh.named_parameters()]
+        for name, p in fresh.named_parameters():
+            assert back[name].dtype == np.float32
+            npt.assert_array_equal(back[name].data, p.data)
+
+        # one training step, padded text rows and dropout included
+        batch = tiny_dataset.split("train")[:8]
+        tb, ib = model.batches_for(batch, vocab)
+        preds = model.forward_batch(tb, ib, training=True, rng=np.random.default_rng(1))
+        total, _ = model.loss(preds, labels_of(batch))
+        assert total.dtype == np.float64
+        model.zero_grad()
+        backward(total)
+        build_optimizer(model).step()
+        for p in model.parameters():
+            assert p.dtype == np.float64 and p.grad.dtype == np.float64
 
 
 class TestTraining:
