@@ -34,11 +34,17 @@ err = finite_diff_check(lambda v: T.tsum(T.mul(T.matmul(v, x), probe)), w)
 print("matmul max relative gradient error vs central differences:", err)
 
 # 4. Gradients accumulate until zeroed: useful when several losses share
-#    parameters (the three-branch training loss does exactly this).
+#    parameters (the three-branch training loss does exactly this). Each
+#    backward() consumes its graph and frees what it saved, so the two calls
+#    below walk two fresh graphs; walking the loss of section 2 again raises.
 a = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
 backward(T.tsum(a))
 backward(T.tsum(a))
 print("accumulated grad after two backward passes:", a.grad)
+try:
+    backward(loss)
+except T.GraphError as exc:
+    print("second backward through one graph:", exc)
 
 # 5. AdamW with decoupled decay: a zero-gradient step still shrinks weights.
 p = Tensor(np.array([2.0, -3.0]), requires_grad=True, dtype=np.float64)

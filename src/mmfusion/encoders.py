@@ -215,9 +215,10 @@ class ImageEncoder(Module):
 
     def __call__(self, batch: ImageBatch) -> EncoderOutput:
         pixels = batch.pixels
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        if not ((pixels >= 0.0) & (pixels <= 1.0)).all():  # NaN fails both
             raise ValueError(
-                "encode_image: pixel values outside [0, 1]; run preprocessing first")
+                "encode_image: pixel values outside [0, 1] or not finite; "
+                "run preprocessing first")
         B = pixels.shape[0]
         d = self.cfg.d_model
         dtype = self.cls_token.data.dtype

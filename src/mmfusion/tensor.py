@@ -13,16 +13,21 @@ the graph.
 
 ``backward`` walks the vertices once in reverse topological order and
 accumulates gradients on the graph's leaves only; interior results never
-hold a ``.grad``. ``Tensor._parents`` and ``Tensor._backward`` read through
-to the vertex. Inside ``with no_grad():`` operations record no vertex, so
-inference builds no graph at all.
+hold a ``.grad``. It consumes the graph as it walks: once a vertex's closure
+has run, the closure is swapped for one that raises ``GraphError``, so the
+arrays it saved are freed during the walk rather than when the caller drops
+the loss, and a second ``backward`` through the same graph fails instead of
+giving wrong gradients. ``Tensor._parents`` and ``Tensor._backward`` read
+through to the vertex. Inside ``with no_grad():`` operations record no
+vertex, so inference builds no graph at all.
 
 Conventions kept deliberately narrow so the gradient code stays auditable:
 
 * dtypes are float32 or float64, never mixed inside one operation;
 * the only broadcasting allowed is bias-style: ``add(a, b)`` accepts a ``b``
   whose shape equals a trailing slice of ``a.shape``;
-* gradients accumulate across ``backward`` calls -- callers zero them.
+* gradients accumulate on leaves across ``backward`` calls over fresh
+  graphs -- callers zero them.
 
 ``linear`` and ``attention`` are fused composites with hand-written backward
 passes; each computes exactly the arithmetic of the primitive ops it stands
@@ -709,7 +714,7 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
+    """Slice [start, start+length) along one axis, as a C-contiguous array."""
     axis = _check_axis("narrow", x, axis)
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeError(
@@ -725,7 +730,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         gx[slicer] = g
         return (gx,)
 
-    return _result(x.data[slicer], (x,), backward_fn)
+    return _result(np.ascontiguousarray(x.data[slicer]), (x,), backward_fn)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -775,6 +780,10 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 # backward pass
 # ---------------------------------------------------------------------------
 
+def _released(g):
+    raise GraphError("backward: this graph was already differentiated")
+
+
 def backward(loss: Tensor, grad=None) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable leaf: a
     tensor with ``requires_grad=True`` that no op produced (parameters and
@@ -782,8 +791,10 @@ def backward(loss: Tensor, grad=None) -> None:
 
     The walk covers graph vertices, which hold no data: interior results
     pass their gradient on to their parents and keep none, their ``.grad``
-    stays None. Repeated calls add up on the leaves; callers zero gradients
-    between steps.
+    stays None. The graph is consumed: each vertex's closure is dropped as
+    soon as it has run, which frees the arrays it saved, and a second call
+    through the same graph raises ``GraphError``. Repeated calls over fresh
+    graphs add up on the leaves; callers zero gradients between steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -817,7 +828,9 @@ def backward(loss: Tensor, grad=None) -> None:
         if node._backward is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        parent_grads = node._backward(g)
+        node._backward = _released
+        for parent, pg in zip(node._parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
             held = flowing.get(id(parent))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
 from .data import labels_of
@@ -15,6 +18,29 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step, value):
         self.step = step
         super().__init__(f"non-finite loss {value!r} at optimization step {step}")
+
+
+# glibc mallopt parameters and the values train_model sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20   # glibc's maximum on 64-bit hosts
+_TRIM_THRESHOLD_BYTES = 128 << 20
+
+
+@functools.cache
+def _keep_freed_heap_pages():
+    """Ask glibc, once per process, to serve step-sized arrays from the heap
+    and keep freed heap pages instead of returning them to the OS. Returns
+    whether both settings took; does nothing where libc has no ``mallopt``."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):   # no loadable C library (TypeError: Windows)
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+    trim_set = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+    return mmap_set and trim_set
 
 
 def build_optimizer(model):
@@ -57,7 +83,15 @@ def train_epoch(model, samples, optimizer, vocab_size, shuffle_rng, dropout_rng)
 
 
 def train_model(model, dataset, log=None):
-    """Full training run over the train split; returns per-epoch breakdowns."""
+    """Full training run over the train split; returns per-epoch breakdowns.
+
+    ``backward`` frees each step's graph as it walks it, so every step hands
+    its arrays back to the allocator. glibc would return that freed heap top
+    to the OS and fault it back in on the next step, so the first call in a
+    process raises glibc's mmap and trim thresholds through ``mallopt``
+    (``_keep_freed_heap_pages``). Elsewhere it changes nothing.
+    """
+    _keep_freed_heap_pages()
     cfg = model.cfg
     samples = dataset.split("train")
     optimizer = build_optimizer(model)

@@ -140,6 +140,16 @@ class TestImageEncoder:
         with pytest.raises(ValueError, match="preprocessing"):
             enc(ImageBatch(np.full((1, 4, 4, 1), 2.0), 2))
 
+    def test_nan_pixel_is_rejected_by_the_encoder(self):
+        """NaN fails both bounds, so it stops at the pixel guard instead of
+        surfacing later as attention's NonFiniteError (a ValueError too)."""
+        enc = self.make()
+        pixels = np.random.default_rng(9).random((2, 4, 4, 1))
+        pixels[1, 2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="encode_image") as excinfo:
+            enc(ImageBatch(pixels, 2))
+        assert not isinstance(excinfo.value, T.NonFiniteError)
+
     def test_full_encoder_gradient(self):
         enc = self.make().astype(np.float64)
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmfusion import train as train_mod
 from mmfusion.data import SyntheticSpec, generate, labels_of
 from mmfusion.fusion import TOPOLOGIES
 from mmfusion.model import (ConfigError, DecisionSettings, EncoderConfig,
@@ -182,6 +183,28 @@ class TestTraining:
 
         h1, h2 = run(), run()
         assert [b.total for b in h1] == [b.total for b in h2]
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+    def test_training_without_mallopt_matches(self, tiny_dataset, monkeypatch, libc):
+        """Where the allocator call cannot be made, training runs unchanged."""
+        def run():
+            model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))
+            return train_model(model, tiny_dataset)
+
+        def cdll(name, *args, **kwargs):
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(train_mod.ctypes, "CDLL", cdll)
+        train_mod._keep_freed_heap_pages.cache_clear()
+        try:
+            patched = run()
+            assert train_mod._keep_freed_heap_pages() is False
+        finally:
+            monkeypatch.undo()
+            train_mod._keep_freed_heap_pages.cache_clear()
+        assert patched == run()
 
     def test_nan_parameters_abort_with_step_index(self, tiny_dataset):
         model = MultimodalClassifier(tiny_cfg(), vocab_size=len(tiny_dataset.vocab))

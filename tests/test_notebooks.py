@@ -1,9 +1,9 @@
-"""The walkthrough notebooks 01-04 run to completion against the package.
+"""The notebooks 01-05 run to completion against the package.
 
 Each runs as its own process with ``src`` on ``PYTHONPATH``, as README
 describes, so a change to the public API fails here instead of breaking a
-walkthrough silently. Notebook 05 runs the ablation grid and gamma sweep
-for tens of seconds; ``tests/test_cli.py`` covers those commands.
+walkthrough silently. Notebook 05 (ablation grid and gamma sweep) takes a
+few seconds, like the others.
 """
 
 import os
@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-NOTEBOOKS = sorted(p.name for p in (ROOT / "notebooks").glob("0[1-4]_*.py"))
+NOTEBOOKS = sorted(p.name for p in (ROOT / "notebooks").glob("0[1-5]_*.py"))
 
 
-def test_all_four_found():
-    assert len(NOTEBOOKS) == 4
+def test_all_five_found():
+    assert len(NOTEBOOKS) == 5
 
 
 @pytest.mark.parametrize("name", NOTEBOOKS)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mmfusion import tensor as T
 from mmfusion.gradcheck import finite_diff_check
 from mmfusion.tensor import Tensor, backward
+from test_model import closure_values, vertices_below
 
 
 def t64(data, requires_grad=False):
@@ -357,6 +359,34 @@ class TestBackward:
         backward(T.tsum(x))
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
+    def test_second_backward_through_a_graph_raises(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = T.tsum(T.mul(x, x))
+        backward(loss)
+        with pytest.raises(T.GraphError, match="already differentiated"):
+            backward(loss)
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_backward_frees_the_arrays_closures_saved(self):
+        """The arrays a graph saved die while ``backward`` walks it, not when
+        the caller drops the loss."""
+        rng = np.random.default_rng(15)
+        x = t64(rng.standard_normal((64, 64)), requires_grad=True)
+        w = t64(rng.standard_normal((64, 64)), requires_grad=True)
+        readout = t64(rng.standard_normal((64, 64)))
+        loss = T.tsum(T.mul(T.relu(T.matmul(x, w)), readout))
+        vertices = vertices_below(loss)
+        leaf_data = [x.data, w.data, readout.data]
+        saved = [a for v in [loss] + vertices if v._backward is not None
+                 for a in closure_values(v._backward)
+                 if isinstance(a, np.ndarray) and not any(a is d for d in leaf_data)]
+        assert any(a.size >= 64 * 64 for a in saved)
+        refs = [weakref.ref(a) for a in saved]
+        del saved
+        backward(loss)
+        assert all(r() is None for r in refs)
+        assert np.isfinite(loss.item()) and x.grad is not None
+
     def test_shared_subexpression_accumulates(self):
         x = t64([3.0], requires_grad=True)
         y = T.mul(x, x)  # d/dx = 2x
@@ -401,6 +431,16 @@ class TestShapeOps:
         backward(T.tsum(T.narrow(x, 1, 1, 2)))
         expect = np.zeros((3, 4))
         expect[:, 1:3] = 1.0
+        npt.assert_array_equal(x.grad, expect)
+
+    def test_narrow_returns_contiguous_data(self):
+        x = t64(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        y = T.narrow(x, 1, 1, 2)
+        assert y.data.flags.c_contiguous
+        npt.assert_array_equal(y.data, x.data[:, 1:3])
+        backward(T.tsum(T.mul(y, t64(np.arange(16.0).reshape(2, 2, 4)))))
+        expect = np.zeros((2, 3, 4))
+        expect[:, 1:3] = np.arange(16.0).reshape(2, 2, 4)
         npt.assert_array_equal(x.grad, expect)
 
     def test_narrow_out_of_range(self):
