@@ -10,23 +10,19 @@ global embedding off the CLS output.
 import numpy as np
 
 from mmfusion.encoders import (EncoderConfig, ImageBatch, ImageEncoder, TextBatch,
-                               TextEncoder, patchify, tokenize, unpatchify)
-from mmfusion.data import preprocess_text
+                               TextEncoder, patchify)
 from mmfusion.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# 1. Tokenization is plain whitespace lookup after normalization.
-vocab = {"<pad>": 0, "<unk>": 1, "bakery": 2, "fresh": 3, "bread": 4}
-print(tokenize(preprocess_text("Fresh  BREAD  from the Bakery"), vocab))
-
-# 2. Patchify is a pure rearrangement: round-trip is exact.
+# 1. Patchify is a pure rearrangement: patch k is the k-th tile of the grid,
+#    row-major, flattened as (row, col, channel).
 img = rng.random((8, 8, 1))
 patches = patchify(Tensor(img), 4)
-print("patch matrix:", patches.shape, "| round-trip exact:",
-      np.array_equal(unpatchify(patches, 8, 8, 1).data, img))
+print("patch matrix:", patches.shape, "| patch 1 is the top-right tile:",
+      np.array_equal(patches.data[1], img[0:4, 4:8, :].reshape(-1)))
 
-# 3. Cross-layer sharing keeps the stack's parameter count flat in depth.
+# 2. Cross-layer sharing keeps the stack's parameter count flat in depth.
 cfg2 = EncoderConfig(d_model=32, n_heads=2, n_layers=2, ffn_width=64,
                      embedding_dim=16, share_layers=True, max_len=16)
 cfg6 = EncoderConfig(d_model=32, n_heads=2, n_layers=6, ffn_width=64,
@@ -35,7 +31,7 @@ n2 = TextEncoder(cfg2, vocab_size=20, rng=np.random.default_rng(1)).parameter_co
 n6 = TextEncoder(cfg6, vocab_size=20, rng=np.random.default_rng(1)).parameter_count()
 print(f"2-layer shared encoder: {n2} params; 6-layer shared encoder: {n6} params")
 
-# 4. The text global embedding ignores padding entirely.
+# 3. The text global embedding ignores padding entirely.
 enc = TextEncoder(cfg2, vocab_size=20, rng=np.random.default_rng(2))
 ids_short = np.array([[2, 3, 4]])
 ids_padded = np.array([[2, 3, 4, 0, 0, 0]])
@@ -43,7 +39,7 @@ pooled_short = enc(TextBatch(ids_short, ids_short != 0, 20)).pooled.data
 pooled_padded = enc(TextBatch(ids_padded, ids_padded != 0, 20)).pooled.data
 print("pad-extension drift:", np.abs(pooled_short - pooled_padded).max())
 
-# 5. The image encoder returns N+1 context rows (patches plus CLS).
+# 4. The image encoder returns N+1 context rows (patches plus CLS).
 ienc = ImageEncoder(cfg2, image_size=8, patch_size=4, channels=1,
                     rng=np.random.default_rng(3))
 out = ienc(ImageBatch(rng.random((2, 8, 8, 1)), 4))

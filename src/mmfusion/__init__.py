@@ -10,12 +10,11 @@ examples of each layer.
 from .tensor import Tensor, backward
 from .gradcheck import finite_diff_check
 from .optim import AdamW
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder, patchify, tokenize
+from .encoders import EncoderConfig, ImageEncoder, TextEncoder, patchify
 from .fusion import dropout_channel, elastic_net_channel
 from .decision import combined_loss, cross_entropy, weighted_vote
 from .metrics import compute_metrics
-from .data import SyntheticSpec, generate, load_dataset, preprocess_image, \
-    preprocess_text, save_dataset
+from .data import SyntheticSpec, generate, load_dataset, save_dataset
 from .model import MultimodalClassifier, RunConfig
 from .train import evaluate_metrics, train_model
 
@@ -26,6 +25,5 @@ __all__ = [
     "SyntheticSpec", "Tensor", "TextEncoder", "backward", "combined_loss",
     "compute_metrics", "cross_entropy", "dropout_channel", "elastic_net_channel",
     "evaluate_metrics", "finite_diff_check", "generate", "load_dataset",
-    "patchify", "preprocess_image", "preprocess_text", "save_dataset",
-    "tokenize", "train_model", "weighted_vote",
+    "patchify", "save_dataset", "train_model", "weighted_vote",
 ]

@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .bench import FULL_SCALE_REFERENCE, bench_attention
 from .checkpoint import load_into, save_checkpoint
 from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
@@ -53,7 +55,7 @@ def _read_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise DatasetIOError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
         raise ConfigError([f"{what} {path} is not valid JSON: {exc}"])
 
 
@@ -274,7 +276,10 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and invalid values reach the user through the engine's
+        # finiteness checks (exit 3), not as numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -23,9 +22,6 @@ import numpy as np
 
 from .encoders import PAD_ID, UNK_ID, ImageBatch, TextBatch
 from .fields import ConfigError, bounded, field_problems, from_dict, is_int
-
-_WS = re.compile(r"\s+")
-
 
 MIN_TEXT_WIDTH = 3                    # a text batch is padded to this many tokens or more
 SPLITS = ("train", "val", "test")     # the splits a sample record may name
@@ -276,49 +272,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
     return Dataset(spec=spec, samples=samples, vocab=vocab,
                    pattern_of=pattern_groups, keyword_of=keyword_of,
                    self_check=self_check)
-
-
-# ---------------------------------------------------------------------------
-# preprocessing
-# ---------------------------------------------------------------------------
-
-def preprocess_text(raw: str) -> str:
-    """Lowercase and collapse whitespace runs; idempotent."""
-    return _WS.sub(" ", raw.lower()).strip()
-
-
-def _resize_bilinear(img, out_h, out_w):
-    H, W, _C = img.shape
-    rows = np.linspace(0.0, H - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    cols = np.linspace(0.0, W - 1.0, out_w) if out_w > 1 else np.zeros(1)
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, H - 1)
-    c1 = np.minimum(c0 + 1, W - 1)
-    fr = (rows - r0)[:, None, None]
-    fc = (cols - c0)[None, :, None]
-    top = img[r0][:, c0] * (1 - fc) + img[r0][:, c1] * fc
-    bottom = img[r1][:, c0] * (1 - fc) + img[r1][:, c1] * fc
-    return top * (1 - fr) + bottom * fr
-
-
-def preprocess_image(raw, side: int) -> np.ndarray:
-    """Bilinear resize to side x side and scale pixels into [0, 1].
-
-    Byte-scale inputs (max > 1) are divided by 255; inputs already in [0, 1]
-    pass through the scaler unchanged.
-    """
-    img = np.asarray(raw, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    if img.ndim != 3 or 0 in img.shape:
-        raise DatasetError(f"preprocess_image: bad image shape {img.shape}")
-    if img.min() < 0:
-        raise DatasetError("preprocess_image: negative pixel values")
-    if img.max() > 1.0:
-        img = img / 255.0
-    img = np.clip(img, 0.0, 1.0)
-    return _resize_bilinear(img, side, side).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

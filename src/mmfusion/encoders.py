@@ -71,20 +71,11 @@ class ImageBatch:
                 f"ImageBatch: patch size {self.patch_size} does not divide {H}x{W}")
 
 
-def tokenize(text: str, vocab: dict) -> list:
-    """Whitespace tokenization against a fixed vocabulary; unknown words map
-    to UNK and empty text yields a single UNK token."""
-    words = text.split()
-    if not words:
-        return [UNK_ID]
-    return [vocab.get(w, UNK_ID) for w in words]
-
-
 def patchify(x: Tensor, patch: int) -> Tensor:
     """Split [H,W,C] (or [B,H,W,C]) into flattened non-overlapping patches.
 
     Patches are ordered row-major over the patch grid; within a patch the
-    layout is (row, col, channel), so unpatchify reconstructs exactly.
+    layout is (row, col, channel).
     """
     batched = x.data.ndim == 4
     if x.data.ndim not in (3, 4):
@@ -101,18 +92,6 @@ def patchify(x: Tensor, patch: int) -> Tensor:
     x = T.reshape(x, (hp, patch, wp, patch, C))
     x = T.transpose(x, (0, 2, 1, 3, 4))
     return T.reshape(x, (hp * wp, patch * patch * C))
-
-
-def unpatchify(x: Tensor, H: int, W: int, C: int) -> Tensor:
-    """Inverse of patchify for [N, P*P*C] inputs."""
-    N = x.shape[0]
-    patch = int(np.sqrt(x.shape[1] // C))
-    hp, wp = H // patch, W // patch
-    if hp * wp != N:
-        raise T.ShapeError(f"unpatchify: {N} patches inconsistent with {H}x{W}/{patch}")
-    x = T.reshape(x, (hp, wp, patch, patch, C))
-    x = T.transpose(x, (0, 2, 1, 3, 4))
-    return T.reshape(x, (H, W, C))
 
 
 ENCODER_INIT_STD = 0.02

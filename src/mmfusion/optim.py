@@ -62,11 +62,6 @@ class AdamW:
                 new -= lr * update
                 p.data = new.astype(p.data.dtype)
 
-    def zero_grad(self):
-        for g in self.groups:
-            for _, p in g["params"]:
-                p.grad = None
-
 
 def param_groups(named_params, rates, default_lr):
     """Split (name, tensor) pairs into AdamW groups by name prefix.

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
@@ -246,6 +247,25 @@ def _last_nan(values):
     values[-1] = np.nan
 
 
+def _edit_patch_proj(good, bad, edit):
+    """Copy checkpoint ``good`` to ``bad`` with ``edit`` applied in place to
+    the image patch projection's weights. The entry's crc32 is recomputed,
+    so the checkpoint loads and only the numbers are wrong; attention's
+    softmax input goes non-finite."""
+    shutil.copytree(good, bad)
+    manifest = json.loads((good / "manifest.json").read_text())
+    entry = manifest["image_encoder.patch_proj.weight"]
+    start, stop = entry["offset"], entry["offset"] + entry["length"]
+    blob = bytearray((good / "weights.bin").read_bytes())
+    weights = np.frombuffer(bytes(blob[start:stop]), dtype="<f4").copy()
+    edit(weights)
+    blob[start:stop] = weights.tobytes()
+    entry["crc32"] = zlib.crc32(weights.tobytes())
+    (bad / "weights.bin").write_bytes(bytes(blob))
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    return bad
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")
@@ -290,26 +310,45 @@ class TestCorruptCheckpoint:
                              ids=["nan_weight", "huge_weights"])
     def test_non_finite_forward_exits_3(self, trained_checkpoint, tmp_path, capsys,
                                         edit):
-        # the entry's crc32 is recomputed, so the checkpoint loads and only
-        # the numbers are wrong; attention's softmax input goes non-finite
         config, good = trained_checkpoint
-        bad = tmp_path / "checkpoint"
-        shutil.copytree(good, bad)
-        manifest = json.loads((good / "manifest.json").read_text())
-        entry = manifest["image_encoder.patch_proj.weight"]
-        start, stop = entry["offset"], entry["offset"] + entry["length"]
-        blob = bytearray((good / "weights.bin").read_bytes())
-        weights = np.frombuffer(bytes(blob[start:stop]), dtype="<f4").copy()
-        edit(weights)
-        blob[start:stop] = weights.tobytes()
-        entry["crc32"] = zlib.crc32(weights.tobytes())
-        (bad / "weights.bin").write_bytes(bytes(blob))
-        (bad / "manifest.json").write_text(json.dumps(manifest))
+        bad = _edit_patch_proj(good, tmp_path / "checkpoint", edit)
         assert main(["eval", "--config", config, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 3
         err = capsys.readouterr().err
         assert "numerical abort" in err and "non-finite" in err
         assert "Traceback" not in err
+
+    def test_overflow_raises_no_numpy_warning(self, trained_checkpoint, tmp_path,
+                                              capsys):
+        config, good = trained_checkpoint
+        bad = _edit_patch_proj(good, tmp_path / "checkpoint", _all_huge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", config, "--checkpoint", str(bad),
+                         "--out", str(tmp_path / "eval")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith("numerical abort:")
+
+    def test_overflow_stderr_is_the_abort_line_alone(self, trained_checkpoint,
+                                                     tmp_path):
+        config, good = trained_checkpoint
+        bad = _edit_patch_proj(good, tmp_path / "checkpoint", _all_huge)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmfusion", "eval", "--config", config,
+             "--checkpoint", str(bad), "--out", str(tmp_path / "eval")],
+            capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical abort:"), proc.stderr
+
+
+def _truncate_or_flip(raw, kind, data):
+    """``raw`` cut short at a drawn length, or with one drawn byte flipped."""
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
 
 
 def _fuzz_checkpoint_file(read, data):
@@ -322,12 +361,8 @@ def _fuzz_checkpoint_file(read, data):
     kind = data.draw(st.sampled_from(
         ["truncate", "flip"] + (["retype", "drop_field", "drop_entry"]
                                 if name == "manifest.json" else [])), label="kind")
-    if kind == "truncate":
-        return name, raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
-    if kind == "flip":
-        at = data.draw(st.integers(0, len(raw) - 1), label="at")
-        mask = data.draw(st.integers(1, 255), label="mask")
-        return name, raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    if kind in ("truncate", "flip"):
+        return name, _truncate_or_flip(raw, kind, data)
     manifest = json.loads(raw)
     entry = manifest[data.draw(st.sampled_from(sorted(manifest)), label="entry")]
     if kind == "drop_entry":
@@ -359,6 +394,88 @@ class TestCheckpointFuzz:
                 code = main(["eval", "--config", config, "--checkpoint", bad,
                              "--out", os.path.join(tmp, "eval")])
         assert code in (0, 4) and "Traceback" not in err.getvalue()
+
+
+def _fuzz_json(raw, data):
+    """Draw a mutation of the bytes of a JSON object: a truncation, a byte
+    flip, or one value anywhere in the document retyped or dropped."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "retype", "drop"]),
+                     label="kind")
+    if kind in ("truncate", "flip"):
+        return _truncate_or_flip(raw, kind, data)
+    doc = json.loads(raw)
+    parent = doc
+    while True:
+        key = data.draw(st.sampled_from(
+            sorted(parent) if isinstance(parent, dict) else range(len(parent))),
+            label="key")
+        child = parent[key]
+        if not (isinstance(child, (dict, list)) and child
+                and data.draw(st.booleans(), label="descend")):
+            break
+        parent = child
+    if kind == "drop":
+        del parent[key]
+    else:
+        # no oversized integers: size fields have no upper bound yet, and
+        # one at 2**70 hangs or raises (ROADMAP item 7)
+        parent[key] = data.draw(st.sampled_from(
+            [None, True, 1.5, "7", [], {}, [3, 4]]), label="value")
+    return json.dumps(doc).encode()
+
+
+def _exits_cleanly(argv):
+    """Run ``main(argv)``; it must exit 0, 2, 3 or 4 with no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    assert main(["generate", "--config", str(config), "--out", str(root / "ds")]) == 0
+    return str(config), root / "ds"
+
+
+class TestInputFuzz:
+    """Mutated config, spec and dataset files; ``--epochs 0`` keeps a
+    mutated epoch count from starting a long training."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_config(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "wb") as fh:
+                fh.write(_fuzz_json(json.dumps(TINY).encode(), data))
+            _exits_cleanly(["train", "--config", path, "--epochs", "0",
+                            "--out", os.path.join(tmp, "run")])
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_spec(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "wb") as fh:
+                fh.write(_fuzz_json(json.dumps(TINY_SPEC).encode(), data))
+            _exits_cleanly(["generate", "--spec", path,
+                            "--out", os.path.join(tmp, "ds")])
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_dataset(self, saved_dataset, data):
+        config, good = saved_dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "ds")
+            shutil.copytree(good, bad)
+            with open(os.path.join(bad, "dataset.json"), "wb") as fh:
+                fh.write(_fuzz_json((good / "dataset.json").read_bytes(), data))
+            _exits_cleanly(["train", "--config", config, "--data", bad,
+                            "--epochs", "0", "--out", os.path.join(tmp, "run")])
 
 
 def _truncate_to_spec(doc):

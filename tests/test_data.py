@@ -4,8 +4,7 @@ import pytest
 
 from mmfusion.data import (DatasetError, DatasetIOError, SyntheticSpec,
                            generate, load_dataset, make_image_batch,
-                           make_text_batch, preprocess_image, preprocess_text,
-                           save_dataset)
+                           make_text_batch, save_dataset)
 
 
 def tiny_spec(**kw):
@@ -67,48 +66,6 @@ class TestGenerate:
                                 text_informativeness=0.4))
         assert ds.self_check["image_unrecoverable_classes"] >= 1
         assert ds.self_check["text_unrecoverable_classes"] >= 3
-
-
-class TestPreprocessText:
-    def test_case_and_whitespace(self):
-        assert preprocess_text("Bakery  Shop ") == "bakery shop"
-
-    def test_fixed_point(self):
-        assert preprocess_text("bakery") == "bakery"
-
-    def test_idempotent(self):
-        for raw in ("  MiXeD   CaSe\tstring \n", "", "one", "A  B   C"):
-            once = preprocess_text(raw)
-            assert preprocess_text(once) == once
-
-
-class TestPreprocessImage:
-    def test_identity_resize(self):
-        rng = np.random.default_rng(0)
-        img = rng.random((8, 8, 1))
-        out = preprocess_image(img, 8)
-        npt.assert_allclose(out, img, atol=1e-7)
-
-    def test_byte_scale_constant(self):
-        out = preprocess_image(np.full((4, 4), 255.0), 4)
-        npt.assert_allclose(out, np.ones((4, 4, 1)), atol=1e-7)
-
-    def test_bilinear_round_trip_on_smooth_content(self):
-        # affine images are reproduced exactly by bilinear resampling
-        i, j = np.mgrid[0:8, 0:8]
-        ramp = (0.1 + 0.05 * i + 0.07 * j) / 1.0
-        ramp = (ramp / ramp.max())[:, :, None]
-        up = preprocess_image(ramp, 16)
-        down = preprocess_image(up, 8)
-        npt.assert_allclose(down, ramp, atol=1e-6)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(DatasetError):
-            preprocess_image(np.zeros((0, 4)), 4)
-
-    def test_negative_pixels_rejected(self):
-        with pytest.raises(DatasetError):
-            preprocess_image(np.full((4, 4), -1.0), 4)
 
 
 class TestBatching:

@@ -4,8 +4,7 @@ import pytest
 
 from mmfusion import tensor as T
 from mmfusion.encoders import (EncoderConfig, ImageBatch, ImageEncoder, TextBatch,
-                               TextEncoder, UNK_ID, masked_mean, patchify, tokenize,
-                               unpatchify)
+                               TextEncoder, masked_mean, patchify)
 from mmfusion.gradcheck import finite_diff_check
 from mmfusion.tensor import Tensor, backward
 
@@ -15,23 +14,6 @@ def tiny_cfg(**kw):
                 embedding_dim=8, share_layers=True, max_len=12)
     base.update(kw)
     return EncoderConfig(**base)
-
-
-class TestTokenize:
-    def test_known_word(self):
-        assert tokenize("bakery", {"bakery": 5}) == [5]
-
-    def test_case_and_space_normalization_upstream(self):
-        # after preprocessing "Bakery " equals tokenize("bakery")
-        from mmfusion.data import preprocess_text
-        vocab = {"bakery": 5}
-        assert tokenize(preprocess_text("Bakery "), vocab) == tokenize("bakery", vocab)
-
-    def test_unknown_maps_to_unk(self):
-        assert tokenize("zzz", {"bakery": 5}) == [UNK_ID]
-
-    def test_empty_text_yields_single_unk(self):
-        assert tokenize("", {}) == [UNK_ID]
 
 
 class TestPatchify:
@@ -53,13 +35,6 @@ class TestPatchify:
                 expect[k] = img[pr * 2:(pr + 1) * 2, pc * 2:(pc + 1) * 2, :].reshape(-1)
                 k += 1
         npt.assert_array_equal(out, expect)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(2)
-        img = rng.random((6, 9, 2))
-        patches = patchify(Tensor(img), 3)
-        back = unpatchify(patches, 6, 9, 2)
-        npt.assert_array_equal(back.data, img)
 
     def test_non_divisible_patch_errors(self):
         with pytest.raises(T.ShapeError):

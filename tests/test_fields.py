@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmfusion
 from mmfusion import decision, encoders, fusion, layers, model
 from mmfusion.data import MIN_TEXT_WIDTH, SyntheticSpec
 from mmfusion.decision import VOTE_STRATEGIES
@@ -92,6 +93,22 @@ def test_constructor_census():
     assert sorted(found) == sorted(CONSTRUCTORS)
     for name, obj in found.items():
         assert list(inspect.signature(obj).parameters) == CONSTRUCTORS[name], name
+
+
+# The package's public names. Removing or adding one is a design decision:
+# edit this list in the same change and say why.
+PUBLIC_API = [
+    "AdamW", "EncoderConfig", "ImageEncoder", "MultimodalClassifier", "RunConfig",
+    "SyntheticSpec", "Tensor", "TextEncoder", "backward", "combined_loss",
+    "compute_metrics", "cross_entropy", "dropout_channel", "elastic_net_channel",
+    "evaluate_metrics", "finite_diff_check", "generate", "load_dataset",
+    "patchify", "save_dataset", "train_model", "weighted_vote",
+]
+
+
+def test_public_api_census():
+    assert sorted(mmfusion.__all__) == PUBLIC_API
+    assert [name for name in PUBLIC_API if not hasattr(mmfusion, name)] == []
 
 
 unit = st.floats(0, 1)

@@ -29,3 +29,4 @@ def test_notebook_runs(name, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "notebooks" / name)],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -337,14 +337,6 @@ class TestBackward:
 
         assert finite_diff_check(f, a) < 1e-4
 
-    def test_detached_tensor_receives_no_gradient(self):
-        x = t64([1.0, 2.0], requires_grad=True)
-        d = x.detach()
-        y = T.tsum(T.mul(d, d))
-        backward(y)
-        assert x.grad is None
-        assert d.grad is None
-
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with pytest.raises(T.GraphError, match="scalar"):
