@@ -37,13 +37,14 @@ class DatasetIOError(IOError):
 
 @dataclass
 class SyntheticSpec:
-    n_classes: int = bounded(4, lo=2)
-    samples_per_class: int = bounded(60, lo=1)
-    image_size: int = bounded(32, lo=1)
-    patch_size: int = bounded(8, lo=1)
-    channels: int = bounded(1, lo=1)
-    vocab_size: int = 32
-    sentence_len: tuple[int, int] = bounded((4, 8), lo=1, label="sentence_len entries")
+    n_classes: int = bounded(4, lo=2, hi=1000)
+    samples_per_class: int = bounded(60, lo=1, hi=10_000)
+    image_size: int = bounded(32, lo=1, hi=1024)
+    patch_size: int = bounded(8, lo=1, hi=1024)
+    channels: int = bounded(1, lo=1, hi=16)
+    vocab_size: int = bounded(32, lo=1, hi=100_000)
+    sentence_len: tuple[int, int] = bounded((4, 8), lo=1, hi=4096,
+                                            label="sentence_len entries")
     image_informativeness: float = bounded(0.5, lo=0, hi=1)
     text_informativeness: float = bounded(0.5, lo=0, hi=1)
     noise_level: float = bounded(0.05, lo=0, hi=1)
@@ -289,7 +290,7 @@ def make_text_batch(samples, vocab_size, min_len=MIN_TEXT_WIDTH) -> TextBatch:
 
 
 def make_image_batch(samples, patch_size) -> ImageBatch:
-    pixels = np.stack([s.image for s in samples]).astype(np.float32)
+    pixels = np.stack([s.image for s in samples]).astype(np.float32, copy=False)
     return ImageBatch(pixels=pixels, patch_size=patch_size)
 
 

@@ -23,13 +23,13 @@ UNK_ID = 1
 
 @dataclass
 class EncoderConfig:
-    d_model: int = bounded(64, lo=1)
-    n_heads: int = bounded(2, lo=1)
-    n_layers: int = bounded(2, lo=1)
-    ffn_width: int = bounded(128, lo=1)
-    embedding_dim: int = bounded(32, lo=1)
+    d_model: int = bounded(64, lo=1, hi=4096)
+    n_heads: int = bounded(2, lo=1, hi=256)
+    n_layers: int = bounded(2, lo=1, hi=256)
+    ffn_width: int = bounded(128, lo=1, hi=16384)
+    embedding_dim: int = bounded(32, lo=1, hi=4096)
     share_layers: bool = True
-    max_len: int = bounded(64, lo=1)
+    max_len: int = bounded(64, lo=1, hi=4096)
 
     def validate(self):
         problems = field_problems(self)
@@ -195,13 +195,11 @@ class ImageEncoder(Module):
     def __call__(self, batch: ImageBatch) -> EncoderOutput:
         pixels = batch.pixels
         if not ((pixels >= 0.0) & (pixels <= 1.0)).all():  # NaN fails both
-            raise ValueError(
-                "encode_image: pixel values outside [0, 1] or not finite; "
-                "run preprocessing first")
+            raise ValueError("encode_image: pixel values outside [0, 1] or not finite")
         B = pixels.shape[0]
         d = self.cfg.d_model
         dtype = self.cls_token.data.dtype
-        patches = patchify(Tensor(pixels.astype(dtype)), self.patch_size)
+        patches = patchify(Tensor(pixels.astype(dtype, copy=False)), self.patch_size)
         tokens = self.patch_proj(patches)                        # [B, N, d]
         cls = T.add(Tensor(np.zeros((B, 1, d), dtype=dtype)), self.cls_token)
         seq = T.concat([cls, tokens], axis=1)                    # [B, N+1, d]

@@ -44,7 +44,8 @@ def bounded(default, lo=None, hi=None, lo_open=False, choices=None, label=None):
     """A dataclass field defaulting to ``default`` whose value must be one of
     ``choices``, or lie in ``[lo, hi]`` (``(lo, hi]`` with ``lo_open``; no
     upper end when ``hi`` is None). Each entry of a tuple value is checked.
-    ``label`` names the field in messages instead of its name."""
+    ``label`` names the field in messages instead of its name. A message
+    about integers names only the end they are past."""
     return dataclasses.field(default=default,
                              metadata={"bounds": (lo, hi, lo_open, choices, label)})
 
@@ -73,10 +74,15 @@ def _bound_problem(name, value, bounds):
         return None if value in choices else \
             f"{label} must be one of {choices}, got {value!r}"
     values = value if isinstance(value, (tuple, list)) else (value,)
-    if all((v > lo if lo_open else v >= lo) and (hi is None or v <= hi) for v in values):
+    too_low = not all(v > lo if lo_open else v >= lo for v in values)
+    too_high = hi is not None and any(v > hi for v in values)
+    if not (too_low or too_high):
         return None
-    if hi is None:
-        return f"{label} must be {'>' if lo_open else '>='} {lo}, got {value}"
+    if hi is None or (all(map(is_int, values)) and too_low != too_high):
+        # an integer is a size or count, whose upper end is a generous cap:
+        # name the one end the value is past
+        end = f"{'>' if lo_open else '>='} {lo}" if too_low else f"<= {hi}"
+        return f"{label} must be {end}, got {value}"
     return f"{label} must be in {'(' if lo_open else '['}{lo}, {hi}], got {value}"
 
 

@@ -45,13 +45,15 @@ class LayerNorm(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Self-attention: one ``T.attention`` node takes x and the q/k/v
-    projection parameters, then ``o_proj`` maps its output.
+    """Self-attention: one ``T.attention`` node takes x and the q/k/v/o
+    projection parameters.
 
-    ``q_proj``/``k_proj``/``v_proj`` only hold the projection parameters
-    (their names and init order fix the checkpoint layout); they are never
-    called. The node keeps x and the weights, which outlive it anyway, and
-    recomputes q/k/v in backward instead of keeping them in the graph.
+    ``q_proj``/``k_proj``/``v_proj``/``o_proj`` only hold the projection
+    parameters (their names and init order fix the checkpoint layout); they
+    are never called. The node keeps x (or the layer_norm state it is
+    rebuilt from) and the weights, which outlive it anyway, and recomputes
+    q/k/v and the merged heads that ``o_proj`` maps in backward instead of
+    keeping them in the graph.
     """
 
     def __init__(self, d, n_heads, rng, std=None):
@@ -67,9 +69,9 @@ class MultiHeadSelfAttention(Module):
         self.o_proj = Linear(d, d, rng, std=std)
 
     def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        q, k, v = self.q_proj, self.k_proj, self.v_proj
-        return self.o_proj(T.attention(x, x, self.n_heads, q.weight, k.weight, v.weight,
-                                       q.bias, v.bias, key_mask))
+        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.o_proj
+        return T.attention(x, x, self.n_heads, q.weight, k.weight, v.weight, q.bias, v.bias,
+                           key_mask, o.weight, o.bias)
 
 
 class FeedForward(Module):

@@ -52,8 +52,8 @@ class DecisionSettings:
 
 @dataclass
 class TrainerSettings:
-    epochs: int = bounded(25, lo=0)
-    batch_size: int = bounded(8, lo=1)
+    epochs: int = bounded(25, lo=0, hi=100_000)
+    batch_size: int = bounded(8, lo=1, hi=65_536)
     lr_text: float = bounded(1e-5, lo=0)
     lr_image: float = bounded(1e-4, lo=0)
     lr_other: float = bounded(1e-4, lo=0)

@@ -32,16 +32,21 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 ``linear`` and ``attention`` are fused composites with hand-written backward
 passes; each computes exactly the arithmetic of the primitive ops it stands
 for (reshape/matmul/add, and three such projections feeding head
-split/bmm/mask/softmax/bmm/head merge), so results are bit-identical to the
-unfused graph. ``attention`` takes the unprojected inputs and the q/k/v
-projection parameters and keeps only those, which outlive the node anyway;
-its backward recomputes q/k/v and their head splits, because at batch 64
-those held about a third of the bytes of a step graph. It
-works over batch tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of
-[h, Lq, Lk] probabilities; when a call spans several tiles its backward also
-recomputes the probabilities from each row's saved max and sum instead of
-keeping them. A call of one tile keeps them, which spends no recompute
-where they are small.
+split/bmm/mask/softmax/bmm/head merge, optionally followed by an output
+projection), so results are bit-identical to the unfused graph.
+
+A node keeps only what its backward cannot rebuild cheaply and bit for bit:
+* a ``layer_norm`` result carries its node's (xhat, gain, bias) in
+  ``Tensor._affine``; ``linear`` and ``attention`` keep that triple instead
+  of the result's data, which the layer_norm node's xhat doubled, and
+  rebuild the data in backward with the forward's own arithmetic;
+* ``attention`` takes the unprojected inputs and the q/k/v (and, for
+  self-attention, output) projection parameters and keeps only those, which
+  outlive the node anyway, plus each softmax row's max and sum. Its backward
+  recomputes q/k/v and their head splits, each tile's probabilities and,
+  given an output projection, the merged heads it maps. The batch is worked
+  in tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of [h, Lq, Lk]
+  probabilities, and a call of one tile recomputes like one of several.
 """
 
 from __future__ import annotations
@@ -87,13 +92,16 @@ class Tensor:
     them and graph construction prunes paths that only lead to constants.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_vertex")
+    __slots__ = ("data", "requires_grad", "grad", "_vertex", "_affine")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._vertex = None
+        # (xhat, gain, bias) of a tracked layer_norm result, whose data
+        # ``_ln_affine`` rebuilds bit for bit; None for every other tensor
+        self._affine = None
 
     @property
     def _parents(self):
@@ -173,6 +181,7 @@ def _result(data, parents, backward_fn):
         data = _as_array(data)
     out.data = data
     out.grad = None
+    out._affine = None
     tracked = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = tracked
     out._vertex = (_Vertex(tuple(_vertex_of(p) for p in parents), backward_fn)
@@ -360,11 +369,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias must be shape ({d},), got {gain.shape} and {bias.shape}")
     # the arithmetic of np.mean and np.var, centring once
-    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = np.square(centred).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    gd = gain.data
+    xhat *= inv
+    gd, bd = gain.data, bias.data
     axes = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g):
@@ -374,7 +383,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx = inv * (gy - m1 - xhat * m2)
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _result(xhat * gd + bias.data, (x, gain, bias), backward_fn)
+    out = _result(_ln_affine(xhat, gd, bd), (x, gain, bias), backward_fn)
+    if out._vertex is not None:
+        out._affine = (xhat, gd, bd)
+    return out
+
+
+def _ln_affine(xhat, gain, bias):
+    """``layer_norm``'s output from its normalized input: xhat * gain + bias."""
+    z = xhat * gain
+    z += bias
+    return z
+
+
+def _kept(x):
+    """What a node keeps of operand ``x`` to read its data in backward: the
+    (xhat, gain, bias) of a layer_norm result, which the layer_norm node
+    keeps anyway, or else the data itself."""
+    return x.data if x._affine is None else x._affine
+
+
+def _rebuilt(kept):
+    """The data that ``_kept`` stood for, bit for bit."""
+    return kept if isinstance(kept, np.ndarray) else _ln_affine(*kept)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +417,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     Leading axes of ``x`` are flattened into one [n, d_in] matrix product,
     the same arithmetic as reshape -> matmul -> reshape -> add, in one node.
+    A layer_norm result ``x`` is rebuilt in backward, not kept.
     """
     parents = (x, weight) if bias is None else (x, weight, bias)
     _check_same_dtype("linear", *parents)
@@ -396,12 +428,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: input width of {x.shape} != d_in {d_in}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"linear: bias must be shape ({d_out},), got {bias.shape}")
-    xd, wd = x.data, weight.data
+    xk, wd = _kept(x), weight.data
     need_gx, has_bias = x.requires_grad, bias is not None
-    out = _project(xd, wd, bias.data if has_bias else None)
+    out = _project(x.data, wd, bias.data if has_bias else None)
 
     def backward_fn(g):
-        grads = _project_backward(xd, wd, g, need_gx)
+        grads = _project_backward(_rebuilt(xk), wd, g, need_gx)
         if not has_bias:
             return grads
         return grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
@@ -439,10 +471,20 @@ def _merge_heads(dst, a, h):  # [n*h, L, dh] written into dst [n, L, h*dh]
     dst.reshape(n, L, h, d // h)[...] = a.reshape(n, h, L, d // h).transpose(0, 2, 1, 3)
 
 
+def _bias_grad(g, h):
+    """A q/v bias's gradient: the [n, L, d] ``g`` summed over n and L in the
+    primitive graph's order. With heads one wide, its head merge hands the
+    bias a strided view, whose reduction numpy orders differently."""
+    if g.shape[2] == h:
+        g = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return g.sum(axis=(0, 1))
+
+
 def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
-              bq: Tensor | None = None, bv: Tensor | None = None, key_mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention with its q/k/v projections,
-    in one node.
+              bq: Tensor | None = None, bv: Tensor | None = None, key_mask=None,
+              wo: Tensor | None = None, bo: Tensor | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention with its q/k/v projections
+    and an optional output projection, in one node.
 
     xq: [B, Lq, d_q], xkv: [B, Lk, d_kv]; wq: [d_q, d], wk/wv: [d_kv, d],
     optional biases bq/bv: [d] (a key bias would shift each query's logits
@@ -450,24 +492,27 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
     v = xkv @ wv + bv are computed with ``linear``'s arithmetic, heads are
     split to [B*h, L, d/h], logits are scaled by 1/sqrt(d/h), keys where the
     boolean [B, Lk] ``key_mask`` is False get -1e9 added, rows are softmaxed
-    and the weighted values are merged back to [B, Lq, d], which is
-    returned.
+    and the weighted values are merged back to [B, Lq, d]. That is returned
+    as is, or, given wo: [d, d_o] and optional bo: [d_o], mapped by
+    ``linear``'s arithmetic to [B, Lq, d_o].
 
     The batch is worked in tiles of as many samples as keep one tile's
     probabilities within ``ATTENTION_TILE_BYTES`` (at least one sample), and
     the non-finite check raises at the first bad tile. The node keeps only
-    arrays that outlive it anyway: the xq/xkv inputs and the weights, plus
-    per tile either its probabilities (a call that fits one tile) or each
-    row's softmax max and sum (a call of several tiles). Backward recomputes
-    q/k/v and their head splits from those, then each tile's probabilities
-    from its logits with the same subtract/exp/divide, so the graph holds
-    neither q/k/v nor the [B*h, Lq, Lk] probabilities of a large batch (the
-    recompute-for-memory trade of gradient checkpointing and FlashAttention).
-    Each tile is a batch slice of the same arithmetic, so results do not
-    depend on the tiling, and are bit-identical to three ``linear`` nodes
-    feeding the primitive attention graph.
+    arrays that outlive it anyway: the xq/xkv inputs (the (xhat, gain, bias)
+    of a layer_norm result) and the weights, plus each tile's row max and
+    row sum of the softmax, for a call of one tile as for several. Backward
+    recomputes q/k/v and their head splits from those, then each tile's
+    probabilities from its logits with the same subtract/exp/divide and,
+    given wo, the merged heads that wo's gradient reads. So the graph holds
+    neither q/k/v, nor the [B*h, Lq, Lk] probabilities, nor the output that
+    wo maps (the recompute-for-memory trade of gradient checkpointing and
+    FlashAttention). Each tile is a batch slice of the same arithmetic, so
+    results do not depend on the tiling, and are bit-identical to three
+    ``linear`` nodes feeding the primitive attention graph, followed by a
+    ``linear`` node for wo.
     """
-    parents = tuple(t for t in (xq, wq, bq, xkv, wk, xkv, wv, bv) if t is not None)
+    parents = tuple(t for t in (xq, wq, bq, xkv, wk, xkv, wv, bv, wo, bo) if t is not None)
     _check_same_dtype("attention", *parents)
     if xq.data.ndim != 3 or xkv.data.ndim != 3 or xq.shape[0] != xkv.shape[0]:
         raise ShapeError(
@@ -486,6 +531,12 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             f"xq {xq.shape} and xkv {xkv.shape} to one width")
     if any(b is not None and b.shape != (d,) for b in (bq, bv)):
         raise ShapeError(f"attention: biases must be shape ({d},)")
+    if wo is None and bo is not None:
+        raise ShapeError("attention: bo needs wo")
+    if wo is not None and (wo.data.ndim != 2 or wo.shape[0] != d):
+        raise ShapeError(f"attention: wo must be [{d}, d_o], got {wo.shape}")
+    if bo is not None and bo.shape != (wo.shape[1],):
+        raise ShapeError(f"attention: bo must be shape ({wo.shape[1]},), got {bo.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
     h, dtype = n_heads, xq.data.dtype
@@ -498,13 +549,15 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             raise ShapeError(f"attention: key_mask shape {key_mask.shape} != ({B}, {Lk})")
         mask_bias = np.where(key_mask, 0.0, -1e9).astype(dtype)
     step = max(1, ATTENTION_TILE_BYTES // max(1, h * Lq * Lk * dtype.itemsize))
-    keep_probs = step >= B
-    xqd, xkvd, wqd, wkd, wvd = xq.data, xkv.data, wq.data, wk.data, wv.data
+    kq, kkv = _kept(xq), _kept(xkv)
+    wqd, wkd, wvd = wq.data, wk.data, wv.data
     bqd = None if bq is None else bq.data
     bvd = None if bv is None else bv.data
+    wod = None if wo is None else wo.data
+    bod = None if bo is None else bo.data
     need_gxq, need_gxkv = xq.requires_grad, xkv.requires_grad
 
-    def heads():            # q/k/v head splits, [B*h, L, d/h] each
+    def heads(xqd, xkvd):   # q/k/v head splits, [B*h, L, d/h] each
         return (_split_heads(_project(xqd, wqd, bqd), h),
                 _split_heads(_project(xkvd, wkd, None), h),
                 _split_heads(_project(xkvd, wvd, bvd), h))
@@ -518,25 +571,34 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             per_head += mask_bias[lo:hi, None, None, :]
         return scores
 
-    qh, kh, vh = heads()
+    qh, kh, vh = heads(xq.data, xkv.data)
     out = np.empty((B, Lq, d), dtype)
-    kept = []   # per tile: its bounds, then y or (row max, row sum)
+    kept = []   # per tile: its bounds, row max and row sum
     for lo in range(0, B, step):
         hi = min(lo + step, B)
         scores = logits(qh, kh, lo, hi)
         y, top, total = _softmax_forward(scores, 2, "attention: softmax input", out=scores)
         _merge_heads(out[lo:hi], y @ vh[lo * h:hi * h], h)
-        kept.append((lo, hi, y if keep_probs else (top, total)))
+        kept.append((lo, hi, top, total))
+    del qh, kh, vh
+    if wod is not None:
+        out = _project(out, wod, bod)
 
     def backward_fn(g):
-        qh, kh, vh = heads()
-        g_heads = _split_heads(g, h)
+        xqd = _rebuilt(kq)
+        xkvd = xqd if kkv is kq else _rebuilt(kkv)
+        qh, kh, vh = heads(xqd, xkvd)
+        g_out = g
+        if wod is not None:
+            g = (g.reshape(-1, wod.shape[1]) @ wod.T).reshape(B, Lq, d)
+            merged = np.empty((B, Lq, d), dtype)
         gq, gk, gv = (np.empty(s, dtype) for s in ((B, Lq, d), (B, Lk, d), (B, Lk, d)))
-        for lo, hi, y in kept:
-            if not keep_probs:
-                y = _softmax_recompute(logits(qh, kh, lo, hi), *y)
+        for lo, hi, top, total in kept:
+            y = _softmax_recompute(logits(qh, kh, lo, hi), top, total)
             rows = slice(lo * h, hi * h)
-            gt = g_heads[rows]
+            if wod is not None:
+                _merge_heads(merged[lo:hi], y @ vh[rows], h)
+            gt = _split_heads(g[lo:hi], h)
             # the softmax gradient y * (gs - dot) * scale, built in place
             gs = gt @ vh[rows].transpose(0, 2, 1)
             gs -= (gs * y).sum(axis=2, keepdims=True)
@@ -545,14 +607,21 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
             _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)
             _merge_heads(gq[lo:hi], gs @ kh[rows], h)
-        del qh, kh, vh, g_heads
+        del qh, kh, vh, g
         grads = _project_backward(xqd, wqd, gq, need_gxq)
         if bqd is not None:
-            grads += (gq.sum(axis=(0, 1)),)
+            grads += (_bias_grad(gq, h),)
+        del gq
         grads += _project_backward(xkvd, wkd, gk, need_gxkv)
+        del gk
         grads += _project_backward(xkvd, wvd, gv, need_gxkv)
         if bvd is not None:
-            grads += (gv.sum(axis=(0, 1)),)
+            grads += (_bias_grad(gv, h),)
+        del gv
+        if wod is not None:
+            grads += (_project_backward(merged, wod, g_out, False)[1],)
+            if bod is not None:
+                grads += (g_out.sum(axis=(0, 1)),)
         return grads
 
     return _result(out, parents, backward_fn)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import zlib
 
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmfusion.cli import main
 from mmfusion.model import RunConfig
+from test_fields import leaves
 
 TINY = {
     "text_encoder": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_width": 32,
@@ -33,6 +35,10 @@ TINY = {
 
 # the full spec TINY generates: the defaults with TINY's data fields replaced
 TINY_SPEC = {**RunConfig().to_dict()["data"], **TINY["data"]}
+
+# every integer size of a run (a seed is no size)
+SIZE_FIELDS = [name for name, kind in leaves(RunConfig())
+               if "int" in kind and not name.endswith("seed")]
 
 
 @pytest.fixture
@@ -203,6 +209,23 @@ class TestMalformedInput:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and needle in err
+
+    @pytest.mark.parametrize("field", SIZE_FIELDS)
+    def test_oversized_field_exits_2(self, tmp_path, capsys, field):
+        section, _, name = field.partition(".")
+        doc = json.loads(json.dumps(TINY))
+        doc.setdefault(section, {})[name] = [3, 2**70] if name == "sentence_len" else 2**70
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        # ``--epochs`` would replace the config's epoch count, so that one
+        # comes through the flag
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "x"), "--epochs",
+                str(2**70) if name == "epochs" else "0"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert f"{section}: {name}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [[1, 2], {"trainer": 5}])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
@@ -417,10 +440,8 @@ def _fuzz_json(raw, data):
     if kind == "drop":
         del parent[key]
     else:
-        # no oversized integers: size fields have no upper bound yet, and
-        # one at 2**70 hangs or raises (ROADMAP item 7)
         parent[key] = data.draw(st.sampled_from(
-            [None, True, 1.5, "7", [], {}, [3, 4]]), label="value")
+            [None, True, 1.5, "7", 2**70, [], {}, [3, 4]]), label="value")
     return json.dumps(doc).encode()
 
 

@@ -110,9 +110,9 @@ class TestImageEncoder:
         b = enc(ImageBatch(other, 2)).pooled.data
         assert np.abs(a - b).max() > 1e-6
 
-    def test_out_of_range_pixels_point_to_preprocessing(self):
+    def test_out_of_range_pixels_are_rejected(self):
         enc = self.make()
-        with pytest.raises(ValueError, match="preprocessing"):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             enc(ImageBatch(np.full((1, 4, 4, 1), 2.0), 2))
 
     def test_nan_pixel_is_rejected_by_the_encoder(self):

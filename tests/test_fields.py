@@ -226,3 +226,16 @@ def test_field_problems_reports_types_before_bounds():
     # a type problem hides the bound problems, which could not be compared
     assert field_problems(_Example(count=0, note=3)) == ["note must be a string, got 3"]
 
+
+
+@dataclasses.dataclass
+class _Sized:
+    width: int = bounded(4, lo=1, hi=64)
+    span: tuple[int, int] = bounded((1, 2), lo=1, hi=8)
+
+
+def test_integer_message_names_the_end_it_is_past():
+    assert field_problems(_Sized(width=0, span=(2, 9))) == [
+        "width must be >= 1, got 0", "span must be <= 8, got (2, 9)"]
+    assert field_problems(_Sized(width=2**70, span=(0, 9))) == [
+        f"width must be <= 64, got {2**70}", "span must be in [1, 8], got (0, 9)"]

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmfusion import tensor as T
 from mmfusion import train as train_mod
 from mmfusion.data import SyntheticSpec, generate, labels_of
 from mmfusion.fusion import TOPOLOGIES
@@ -273,12 +274,34 @@ def closure_values(fn):
             yield from closure_values(value)
 
 
+def held_arrays(fn):
+    """Every array ``fn``'s closure holds, also inside tuples and lists."""
+    stack = list(closure_values(fn))
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+
+
+def owner(a):
+    """The array that owns ``a``'s memory: ``a``, or the base of a view."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+# op nodes of one default-config training step
+DEFAULT_STEP_NODES = 110
+
+
 class TestGraph:
     def test_default_training_step_graph(self):
         model, total = default_training_step()
-        # linear, masked_mean and attention (its q/k/v projections
+        # linear, masked_mean and attention (its q/k/v/o projections
         # included) each record one node
-        assert interior_nodes(total) == 115
+        assert interior_nodes(total) == DEFAULT_STEP_NODES
         backward(total)
         params = list(model.parameters())
         assert all(p.grad is not None for p in params)
@@ -291,13 +314,33 @@ class TestGraph:
         vertices = vertices_below(total)
         params = {id(p) for p in model.parameters()}
         interior = [v for v in vertices if v._backward is not None]
-        assert len(interior) + 1 == 115
+        assert len(interior) + 1 == DEFAULT_STEP_NODES
         assert {id(v) for v in vertices if v._backward is None} <= params
         for v in interior:
             assert not hasattr(v, "data"), v._backward.__qualname__
         for fn in [total._backward] + [v._backward for v in interior]:
             held = [x for x in closure_values(fn) if isinstance(x, Tensor)]
             assert not held, (fn.__qualname__, held)
+
+    def test_memory_census(self, monkeypatch):
+        """The arrays the step graph's closures hold, beyond the parameters,
+        add up to a pinned byte count, and none is a layer_norm result's
+        data: a node fed one keeps the layer_norm's xhat instead."""
+        ln_results, layer_norm = [], T.layer_norm
+
+        def recording(*args):
+            ln_results.append(layer_norm(*args))
+            return ln_results[-1]
+
+        monkeypatch.setattr(T, "layer_norm", recording)
+        model, total = default_training_step()
+        assert len(ln_results) == 12
+        arrays = [a for v in [total] + vertices_below(total) if v._backward is not None
+                  for a in held_arrays(v._backward)]
+        assert not {id(t.data) for t in ln_results} & {id(a) for a in arrays}
+        params = {id(p.data) for p in model.parameters()}
+        owners = {id(owner(a)): owner(a) for a in arrays}
+        assert sum(a.nbytes for key, a in owners.items() if key not in params) == 457_984
 
     def test_bench_tracer_reads_the_graph(self, monkeypatch):
         """The per-layer benchmark's census (``perfbench/tracer.py``, imported
@@ -307,11 +350,11 @@ class TestGraph:
         model, total = default_training_step()
         nodes = tracer.reachable([total])
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 115
+        assert len(interior) == DEFAULT_STEP_NODES
         assert tracer.op_census(interior) == {
             "add": 20, "clip_min": 3, "concat": 5, "conv1d": 3,
             "elastic_net_channel": 2, "embedding": 1, "layer_norm": 12, "log": 3,
-            "max_pool": 3, "mean_pool": 1, "mul": 2, "narrow": 3, "other": 31,
+            "max_pool": 3, "mean_pool": 1, "mul": 2, "narrow": 3, "other": 26,
             "pick": 3, "relu": 7, "reshape": 5, "scale": 5, "softmax": 3, "tsum": 3}
         backward(total)
         grads = [n.grad for n in nodes if n.grad is not None]

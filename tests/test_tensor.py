@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -728,6 +729,12 @@ class TestFusedAttention:
             T.attention(xkv, xkv, 2, wq, wk, wv)
         with pytest.raises(T.ShapeError, match="biases"):
             T.attention(xq, xkv, 2, wq, wk, wv, bq=T.narrow(bq, 0, 0, 2))
+        with pytest.raises(T.ShapeError, match="wo must be"):
+            T.attention(xq, xkv, 2, wq, wk, wv, wo=wv)
+        with pytest.raises(T.ShapeError, match="bo must be"):
+            T.attention(xq, xkv, 2, wq, wk, wv, wo=t64(np.ones((4, 3))), bo=bv)
+        with pytest.raises(T.ShapeError, match="bo needs wo"):
+            T.attention(xq, xkv, 2, wq, wk, wv, bo=bv)
         with pytest.raises(T.DtypeError):
             T.attention(xq, xkv, 2, wq, wk, Tensor(wv.data.astype(np.float32)))
         with pytest.raises(T.DtypeError):
@@ -743,8 +750,8 @@ def tile_samples(h, Lq, Lk, dtype):
 
 
 class TestTiledAttention:
-    """Batches of several tiles: backward recomputes q/k/v and each tile's
-    probabilities from its row max and sum instead of keeping them."""
+    """Batches of one tile or several: backward recomputes q/k/v and each
+    tile's probabilities from its row max and sum instead of keeping them."""
 
     @settings(deadline=None, max_examples=40)
     @given(h=st.sampled_from([1, 2]), dh=st.integers(1, 3), Lq=st.integers(16, 40),
@@ -768,16 +775,8 @@ class TestTiledAttention:
         ref = lambda: projected_composite(xq, xkv, h, *params, key_mask=mask)    # noqa: E731
         out = fused()
         assert out.data.dtype == dtype and np.array_equal(out.data, ref().data)
-        bias_ids = {id(b) for b in params[3:]}
-        for t, a, r in zip(leaves, grads_of(fused, leaves, readout),
-                           grads_of(ref, leaves, readout)):
-            assert a.dtype == dtype
-            if dh == 1 and id(t) in bias_ids:
-                # one value per head: the primitive head merge hands the
-                # bias a strided gradient, whose sum rounds in another order
-                npt.assert_allclose(a, r, rtol=1e-5, atol=1e-4)
-            else:
-                assert np.array_equal(a, r)
+        for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
+            assert a.dtype == dtype and np.array_equal(a, r)
 
     @NON_FINITE
     def test_non_finite_logit_in_a_later_tile(self, bad):
@@ -796,11 +795,12 @@ class TestTiledAttention:
             T.attention(t64(xq), t64(xkv), h, t64(np.eye(d)), t64(wk),
                         t64(rng.standard_normal((d, d))))
 
-    @pytest.mark.parametrize("last_tile", ["half", "one_sample"])
+    @pytest.mark.parametrize("last_tile", ["half", "one_sample", "only_tile"])
     def test_graph_keeps_no_probabilities(self, last_tile):
         h, Lq, Lk, d = 2, 64, 48, 8
         step = tile_samples(h, Lq, Lk, np.float64)
-        B = 2 * step + (step // 2 if last_tile == "half" else 1)
+        B = {"half": 2 * step + step // 2, "one_sample": 2 * step + 1,
+             "only_tile": step // 2}[last_tile]
         out_bytes = B * Lq * d * 8
         stats_bytes = 2 * B * h * Lq * 8              # row max and row sum
         rng = np.random.default_rng(8)
@@ -817,6 +817,95 @@ class TestTiledAttention:
         assert held < out_bytes + stats_bytes + 32 * 1024
         backward(T.tsum(result))
         assert all(t.grad.shape == t.shape for t in present(xq, xkv, *params))
+
+
+def assert_same_graph(build, ref, leaves, readout):
+    """``build()`` equals ``ref()`` bit for bit, in value and in every
+    leaf's gradient."""
+    out, expect = build().data, ref().data
+    assert out.dtype == expect.dtype and np.array_equal(out, expect)
+    for a, r in zip(grads_of(build, leaves, readout), grads_of(ref, leaves, readout)):
+        assert a.dtype == r.dtype and np.array_equal(a, r)
+
+
+FLOAT_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+MASKED = pytest.mark.parametrize("masked", [False, True])
+
+
+class TestNodesKeepLess:
+    """attention applies its own output projection, and linear and attention
+    rebuild a layer_norm input in backward instead of keeping it: each
+    equals the graph that keeps everything."""
+
+    @FLOAT_DTYPES
+    @MASKED
+    @settings(deadline=None, max_examples=30)
+    @given(h=st.sampled_from([1, 2]), dh=st.integers(1, 3), Lq=st.integers(1, 6),
+           Lk=st.integers(1, 6), d_o=st.integers(1, 5), out_bias=st.booleans(),
+           step=st.integers(1, 3), tiles=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_output_projection_equals_linear_after_attention(
+            self, dtype, masked, h, dh, Lq, Lk, d_o, out_bias, step, tiles, seed):
+        rng = np.random.default_rng(seed)
+        B = step * (tiles - 1) + int(rng.integers(1, step + 1))
+        d = h * dh
+        xq, xkv, params = attention_leaves(rng, B, Lq, Lk, 3, 2, d, dtype)
+        wo = Tensor((rng.standard_normal((d, d_o)) * d ** -0.5).astype(dtype),
+                    requires_grad=True)
+        bo = Tensor(rng.standard_normal(d_o).astype(dtype), requires_grad=True) \
+            if out_bias else None
+        mask = None
+        if masked:
+            mask = rng.random((B, Lk)) < 0.7
+            mask[:, 0] = True
+        readout = rng.standard_normal((B, Lq, d_o)).astype(dtype)
+        fused = lambda: T.attention(xq, xkv, h, *params, key_mask=mask, wo=wo, bo=bo)  # noqa: E731
+        ref = lambda: T.linear(T.attention(xq, xkv, h, *params, key_mask=mask), wo, bo)  # noqa: E731
+        # a tile budget of ``step`` samples, so small shapes span 1-3 tiles
+        budget = step * h * Lq * Lk * np.dtype(dtype).itemsize
+        with mock.patch.object(T, "ATTENTION_TILE_BYTES", budget):
+            assert tile_samples(h, Lq, Lk, dtype) == step
+            assert_same_graph(fused, ref, present(xq, xkv, *params, wo, bo), readout)
+
+    @FLOAT_DTYPES
+    @MASKED
+    @settings(deadline=None, max_examples=30)
+    @given(consumer=st.sampled_from(["linear", "self", "query", "keys"]),
+           h=st.sampled_from([1, 2]), dh=st.integers(1, 3), B=st.integers(1, 4),
+           L=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_layer_norm_input_is_rebuilt_bit_for_bit(self, dtype, masked, consumer, h, dh,
+                                                      B, L, seed):
+        rng = np.random.default_rng(seed)
+        d = h * dh
+        x, other, params = attention_leaves(rng, B, L, L, d, d, d, dtype)
+        gain, bias, bo = (Tensor(rng.standard_normal(d).astype(dtype), requires_grad=True)
+                          for _ in range(3))
+        wo = Tensor((rng.standard_normal((d, d)) * d ** -0.5).astype(dtype), requires_grad=True)
+        mask = None
+        if masked:
+            mask = rng.random((B, L)) < 0.7
+            mask[:, 0] = True
+        readout = rng.standard_normal((B, L, d)).astype(dtype)
+
+        def graph(feed):
+            ln = T.layer_norm(x, gain, bias)
+            assert ln._affine is not None
+            fed = feed(ln)
+            if consumer == "linear":
+                return T.linear(fed, wo, bo)
+            xq = fed if consumer in ("self", "query") else other
+            xkv = fed if consumer in ("self", "keys") else other
+            return T.attention(xq, xkv, h, *params, key_mask=mask, wo=wo, bo=bo)
+
+        # a reshape result carries no (xhat, gain, bias), so its node keeps
+        # the data itself
+        plain = lambda ln: T.reshape(ln, ln.shape)      # noqa: E731
+        assert plain(T.layer_norm(x, gain, bias))._affine is None
+        leaves = [x, gain, bias, wo, bo]
+        if consumer != "linear":
+            leaves += present(*params)
+        if consumer in ("query", "keys"):
+            leaves.append(other)
+        assert_same_graph(lambda: graph(lambda ln: ln), lambda: graph(plain), leaves, readout)
 
 
 # ---------------------------------------------------------------------------
