@@ -72,6 +72,14 @@ class SyntheticSpec:
         if self.vocab_size < 2 + self.n_classes + 4:
             problems.append(
                 f"vocab_size {self.vocab_size} too small for {self.n_classes} keywords")
+        # each size is capped on its own; their product, the float32 images,
+        # has a budget of 1 GiB
+        image_bytes = (self.n_classes * self.samples_per_class * self.image_size ** 2
+                       * self.channels * 4)
+        if image_bytes > 2**30:
+            problems.append(
+                f"images would take {image_bytes / 2**30:.1f} GiB, over the 1 GiB budget "
+                f"(n_classes x samples_per_class x image_size^2 x channels x 4 bytes)")
         return problems
 
 

@@ -75,13 +75,22 @@ class MultiHeadSelfAttention(Module):
 
 
 class FeedForward(Module):
+    """relu(x @ W1 + b1) @ W2 + b2: one ``T.ffn`` node.
+
+    ``inner``/``outer`` only hold the parameters (their names and init order
+    fix the checkpoint layout); they are never called. The node keeps x (or
+    the layer_norm state it is rebuilt from) and the weights, and rebuilds
+    the [..., width] hidden layer in backward instead of keeping it.
+    """
+
     def __init__(self, d, width, rng, std=None):
         super().__init__()
         self.inner = Linear(d, width, rng, std=std)
         self.outer = Linear(width, d, rng, std=std)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.outer(T.relu(self.inner(x)))
+        inner, outer = self.inner, self.outer
+        return T.ffn(x, inner.weight, inner.bias, outer.weight, outer.bias)
 
 
 class TransformerBlock(Module):

@@ -29,17 +29,20 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 * gradients accumulate on leaves across ``backward`` calls over fresh
   graphs -- callers zero them.
 
-``linear`` and ``attention`` are fused composites with hand-written backward
-passes; each computes exactly the arithmetic of the primitive ops it stands
-for (reshape/matmul/add, and three such projections feeding head
-split/bmm/mask/softmax/bmm/head merge, optionally followed by an output
-projection), so results are bit-identical to the unfused graph.
+``linear``, ``ffn`` and ``attention`` are fused composites with hand-written
+backward passes; each computes exactly the arithmetic of the primitive ops
+it stands for (reshape/matmul/add; two such maps with a relu between; and
+three such projections feeding head split/bmm/mask/softmax/bmm/head merge,
+optionally followed by an output projection), so results are bit-identical
+to the unfused graph.
 
 A node keeps only what its backward cannot rebuild cheaply and bit for bit:
 * a ``layer_norm`` result carries its node's (xhat, gain, bias) in
-  ``Tensor._affine``; ``linear`` and ``attention`` keep that triple instead
-  of the result's data, which the layer_norm node's xhat doubled, and
-  rebuild the data in backward with the forward's own arithmetic;
+  ``Tensor._affine``; ``linear``, ``ffn`` and ``attention`` keep that triple
+  instead of the result's data, which the layer_norm node's xhat doubled,
+  and rebuild the data in backward with the forward's own arithmetic;
+* ``ffn`` keeps its input and its four parameters, and rebuilds the
+  [..., width] hidden layer in backward;
 * ``attention`` takes the unprojected inputs and the q/k/v (and, for
   self-attention, output) projection parameters and keeps only those, which
   outlive the node anyway, plus each softmax row's max and sum. Its backward
@@ -377,11 +380,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     axes = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g):
+        # inv * (gy - m1 - xhat * m2) with np.mean's arithmetic, built in
+        # place over two temporaries
         gy = g * gd
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gy - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        m1 = gy.sum(axis=-1, keepdims=True) / d
+        t = gy * xhat
+        m2 = t.sum(axis=-1, keepdims=True) / d
+        gy -= m1
+        gy -= np.multiply(xhat, m2, out=t)
+        gy *= inv
+        return gy, np.multiply(g, xhat, out=t).sum(axis=axes), g.sum(axis=axes)
 
     out = _result(_ln_affine(xhat, gd, bd), (x, gain, bias), backward_fn)
     if out._vertex is not None:
@@ -455,6 +463,45 @@ def _project_backward(x, w, g, need_gx):
     g_rows = g.reshape(-1, w.shape[1])
     gx = (g_rows @ w.T).reshape(x.shape) if need_gx else None
     return gx, x.reshape(-1, w.shape[0]).T @ g_rows
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Feed-forward block relu(x @ w1 + b1) @ w2 + b2 over the last axis, in
+    one node: w1 [d_in, width], b1 [width], w2 [width, d_out], b2 [d_out].
+
+    Each map has ``linear``'s arithmetic. The node keeps x (the (xhat, gain,
+    bias) of a layer_norm result) and the weights, which outlive it anyway,
+    and not the [..., width] hidden layer: backward rebuilds it with the
+    forward's arithmetic. Results are bit-identical to ``linear``, ``relu``
+    and ``linear`` nodes in a row.
+    """
+    parents = (x, w1, b1, w2, b2)
+    _check_same_dtype("ffn", *parents)
+    if w1.data.ndim != 2 or w2.data.ndim != 2 or w2.shape[0] != w1.shape[1]:
+        raise ShapeError(
+            f"ffn: weights must be [d_in, width] and [width, d_out], got {w1.shape} "
+            f"and {w2.shape}")
+    if x.data.ndim == 0 or x.shape[-1] != w1.shape[0]:
+        raise ShapeError(f"ffn: input width of {x.shape} != d_in {w1.shape[0]}")
+    if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+        raise ShapeError(
+            f"ffn: biases must be shape ({w1.shape[1]},) and ({w2.shape[1]},), got "
+            f"{b1.shape} and {b2.shape}")
+    xk, w1d, b1d, w2d, b2d = _kept(x), w1.data, b1.data, w2.data, b2.data
+    need_gx = x.requires_grad
+    out = _project(np.maximum(_project(x.data, w1d, b1d), 0), w2d, b2d)
+
+    def backward_fn(g):
+        xd = _rebuilt(xk)
+        hid = np.maximum(_project(xd, w1d, b1d), 0)
+        gh, gw2 = _project_backward(hid, w2d, g, True)
+        gh *= hid > 0       # relu's mask, on a fresh array
+        del hid
+        gx, gw1 = _project_backward(xd, w1d, gh, need_gx)
+        lead = tuple(range(g.ndim - 1))
+        return gx, gw1, gh.sum(axis=lead), gw2, g.sum(axis=lead)
+
+    return _result(out, parents, backward_fn)
 
 
 # Bytes of [h, Lq, Lk] softmax probabilities one attention tile may hold.
@@ -584,10 +631,14 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
     if wod is not None:
         out = _project(out, wod, bod)
 
-    def backward_fn(g):
+    def inputs():   # xq and xkv data; a self-attention input is rebuilt once
         xqd = _rebuilt(kq)
-        xkvd = xqd if kkv is kq else _rebuilt(kkv)
-        qh, kh, vh = heads(xqd, xkvd)
+        return xqd, xqd if kkv is kq else _rebuilt(kkv)
+
+    def backward_fn(g):
+        # a rebuilt layer_norm input is dropped during the tile loop and
+        # rebuilt again for the projection gradients
+        qh, kh, vh = heads(*inputs())
         g_out = g
         if wod is not None:
             g = (g.reshape(-1, wod.shape[1]) @ wod.T).reshape(B, Lq, d)
@@ -599,6 +650,11 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             if wod is not None:
                 _merge_heads(merged[lo:hi], y @ vh[rows], h)
             gt = _split_heads(g[lo:hi], h)
+            if hi - lo < B:
+                # one sample splits to a strided view where the whole batch
+                # splits to a copy, and a one-wide head's products then sum
+                # in another order
+                gt = np.ascontiguousarray(gt)
             # the softmax gradient y * (gs - dot) * scale, built in place
             gs = gt @ vh[rows].transpose(0, 2, 1)
             gs -= (gs * y).sum(axis=2, keepdims=True)
@@ -608,6 +664,7 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
             _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)
             _merge_heads(gq[lo:hi], gs @ kh[rows], h)
         del qh, kh, vh, g
+        xqd, xkvd = inputs()
         grads = _project_backward(xqd, wqd, gq, need_gxq)
         if bqd is not None:
             grads += (_bias_grad(gq, h),)

@@ -227,6 +227,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"{section}: {name}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_images_over_the_budget_exit_2(self, tmp_path, capsys, command):
+        # each size is in range; the images would take 117 GiB
+        doc = json.loads(json.dumps(TINY))
+        doc["data"].update(samples_per_class=10_000, image_size=1024)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+        start = time.perf_counter()
+        assert main(argv + (["--epochs", "0"] if command == "train" else [])) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "over the 1 GiB budget" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("doc", [[1, 2], {"trainer": 5}])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -463,7 +478,7 @@ def saved_dataset(tmp_path_factory):
 
 
 class TestInputFuzz:
-    """Mutated config, spec and dataset files; ``--epochs 0`` keeps a
+    """Mutated config, spec, dataset and image files; ``--epochs 0`` keeps a
     mutated epoch count from starting a long training."""
 
     @settings(deadline=None, max_examples=100)
@@ -497,6 +512,38 @@ class TestInputFuzz:
                 fh.write(_fuzz_json((good / "dataset.json").read_bytes(), data))
             _exits_cleanly(["train", "--config", config, "--data", bad,
                             "--epochs", "0", "--out", os.path.join(tmp, "run")])
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_images(self, saved_dataset, data):
+        """A truncated or flipped ``images.bin`` fails its size or crc32
+        check, and so do NaN pixels under the old crc32; under a recomputed
+        one they fail the pixel check. Each exits 4."""
+        config, good = saved_dataset
+        raw = (good / "images.bin").read_bytes()
+        doc = json.loads((good / "dataset.json").read_text())
+        kind = data.draw(st.sampled_from(["truncate", "flip", "nan"]), label="kind")
+        if kind == "nan":
+            pixels = np.frombuffer(raw, dtype="<f4").copy()
+            at = data.draw(st.integers(0, pixels.size - 1), label="at")
+            pixels[at:at + data.draw(st.integers(1, pixels.size - at), label="n")] = np.nan
+            raw = pixels.tobytes()
+            if data.draw(st.booleans(), label="recompute_crc32"):
+                doc["images_crc32"] = zlib.crc32(raw)
+        else:
+            raw = _truncate_or_flip(raw, kind, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "ds")
+            shutil.copytree(good, bad)
+            with open(os.path.join(bad, "images.bin"), "wb") as fh:
+                fh.write(raw)
+            with open(os.path.join(bad, "dataset.json"), "w") as fh:
+                fh.write(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["train", "--config", config, "--data", bad,
+                             "--epochs", "0", "--out", os.path.join(tmp, "run")])
+        assert code == 4 and "Traceback" not in err.getvalue(), err.getvalue()
 
 
 def _truncate_to_spec(doc):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import types
 
 import numpy as np
@@ -79,6 +80,33 @@ class TestAssembly:
             assert problems == []
         else:
             assert len(problems) == 1 and problems[0].startswith("text_encoder.max_len")
+
+    @pytest.mark.parametrize("n_classes, samples_per_class, image_size, channels, ok", [
+        (16, 1024, 128, 1, True),           # 16 x 1024 x 128^2 x 4 bytes: 1 GiB exactly
+        (16, 1025, 128, 1, False),
+        (4, 1024, 128, 4, True),
+        (4, 1024, 128, 5, False),
+        (4, 10_000, 1024, 1, False),        # each size in range, 156 GiB of images
+        (1000, 10_000, 1024, 16, False),    # every size at its cap
+    ])
+    def test_images_have_a_size_budget(self, n_classes, samples_per_class, image_size,
+                                       channels, ok):
+        cfg = RunConfig()
+        cfg.data = SyntheticSpec(n_classes=n_classes, samples_per_class=samples_per_class,
+                                 image_size=image_size, channels=channels,
+                                 vocab_size=n_classes + 6)
+        tracemalloc.start()
+        try:
+            problems = cfg.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024       # the check allocates no dataset
+        if ok:
+            assert problems == []
+        else:
+            assert len(problems) == 1 and "over the 1 GiB budget" in problems[0], problems
+            assert problems[0].startswith("data: images would take")
 
     def test_unimodal_models_only_build_their_side(self, tiny_dataset):
         img = MultimodalClassifier(tiny_cfg(modality="image"),
@@ -242,9 +270,10 @@ def interior_nodes(loss):
     return count
 
 
-def default_training_step():
-    """(model, loss) of one default-config training step, before backward."""
-    cfg = RunConfig()
+def default_training_step(cfg=None):
+    """(model, loss) of one training step of ``cfg`` (the default config),
+    before backward."""
+    cfg = RunConfig() if cfg is None else cfg
     ds = generate(cfg.data)
     model = MultimodalClassifier(cfg, vocab_size=len(ds.vocab))
     batch = ds.split("train")[:cfg.trainer.batch_size]
@@ -293,13 +322,13 @@ def owner(a):
 
 
 # op nodes of one default-config training step
-DEFAULT_STEP_NODES = 110
+DEFAULT_STEP_NODES = 100
 
 
 class TestGraph:
     def test_default_training_step_graph(self):
         model, total = default_training_step()
-        # linear, masked_mean and attention (its q/k/v/o projections
+        # linear, ffn, masked_mean and attention (its q/k/v/o projections
         # included) each record one node
         assert interior_nodes(total) == DEFAULT_STEP_NODES
         backward(total)
@@ -325,22 +354,35 @@ class TestGraph:
     def test_memory_census(self, monkeypatch):
         """The arrays the step graph's closures hold, beyond the parameters,
         add up to a pinned byte count, and none is a layer_norm result's
-        data: a node fed one keeps the layer_norm's xhat instead."""
+        data: a node fed one keeps the layer_norm's xhat instead. None is a
+        feed-forward hidden layer either: at a width no other array of the
+        step has, no held array is that wide."""
         ln_results, layer_norm = [], T.layer_norm
 
         def recording(*args):
             ln_results.append(layer_norm(*args))
             return ln_results[-1]
 
+        def held_beyond_parameters(model, total):
+            arrays = [a for v in [total] + vertices_below(total) if v._backward is not None
+                      for a in held_arrays(v._backward)]
+            params = {id(p.data) for p in model.parameters()}
+            return arrays, [a for a in arrays if id(owner(a)) not in params]
+
         monkeypatch.setattr(T, "layer_norm", recording)
         model, total = default_training_step()
         assert len(ln_results) == 12
-        arrays = [a for v in [total] + vertices_below(total) if v._backward is not None
-                  for a in held_arrays(v._backward)]
+        arrays, held = held_beyond_parameters(model, total)
         assert not {id(t.data) for t in ln_results} & {id(a) for a in arrays}
-        params = {id(p.data) for p in model.parameters()}
-        owners = {id(owner(a)): owner(a) for a in arrays}
-        assert sum(a.nbytes for key, a in owners.items() if key not in params) == 457_984
+        owners = {id(owner(a)): owner(a) for a in held}
+        assert sum(a.nbytes for a in owners.values()) == 322_816
+
+        cfg = RunConfig()
+        cfg.text_encoder.ffn_width = cfg.image_encoder.ffn_width = 48
+        model, total = default_training_step(cfg)
+        assert any(p.shape == (32, 48) for p in model.parameters())
+        assert not [a.shape for a in held_beyond_parameters(model, total)[1]
+                    if a.shape[-1:] == (48,)]
 
     def test_bench_tracer_reads_the_graph(self, monkeypatch):
         """The per-layer benchmark's census (``perfbench/tracer.py``, imported
@@ -354,8 +396,8 @@ class TestGraph:
         assert tracer.op_census(interior) == {
             "add": 20, "clip_min": 3, "concat": 5, "conv1d": 3,
             "elastic_net_channel": 2, "embedding": 1, "layer_norm": 12, "log": 3,
-            "max_pool": 3, "mean_pool": 1, "mul": 2, "narrow": 3, "other": 26,
-            "pick": 3, "relu": 7, "reshape": 5, "scale": 5, "softmax": 3, "tsum": 3}
+            "max_pool": 3, "mean_pool": 1, "mul": 2, "narrow": 3, "other": 21,
+            "pick": 3, "relu": 2, "reshape": 5, "scale": 5, "softmax": 3, "tsum": 3}
         backward(total)
         grads = [n.grad for n in nodes if n.grad is not None]
         params = list(model.parameters())

@@ -202,6 +202,33 @@ class TestLayerNorm:
         gain.grad = None
         assert finite_diff_check(lambda b: T.tsum(T.layer_norm(x, gain, b)), bias) < 1e-4
 
+    @settings(deadline=None, max_examples=60)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), d=st.integers(1, 40),
+           rows=st.integers(1, 4), spread=st.sampled_from([1e-2, 1.0, 1e3]),
+           seed=st.integers(0, 2**16))
+    def test_backward_equals_the_mean_expression(self, dtype, d, rows, spread, seed):
+        """The in-place backward equals the expression it replaced,
+        ``inv * (gy - m1 - xhat * m2)`` with ``np.mean``, bit for bit."""
+        rng = np.random.default_rng(seed)
+        x = Tensor((spread * rng.standard_normal((rows, 3, d))).astype(dtype),
+                   requires_grad=True)
+        gain, bias = (Tensor(rng.standard_normal(d).astype(dtype), requires_grad=True)
+                      for _ in range(2))
+        g = rng.standard_normal((rows, 3, d)).astype(dtype)
+        backward(T.tsum(T.mul(T.layer_norm(x, gain, bias), Tensor(g))))
+
+        xd = x.data
+        xhat = xd - xd.sum(axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
+        xhat *= inv
+        gy = g * gain.data
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        expect = (inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=(0, 1)),
+                  g.sum(axis=(0, 1)))
+        for got, ref in zip((x.grad, gain.grad, bias.grad), expect):
+            assert got.dtype == ref.dtype == dtype and np.array_equal(got, ref)
+
 
 # ---------------------------------------------------------------------------
 # conv1d
@@ -613,6 +640,74 @@ class TestFusedLinear:
             T.linear(t64(np.ones((2, 4))), Tensor(np.ones((4, 3), dtype=np.float32)))
 
 
+def ffn_composite(x, w1, b1, w2, b2):
+    """``linear``, ``relu`` and ``linear`` nodes: the graph the fused ``ffn``
+    node replaces."""
+    return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
+
+
+def ffn_leaves(rng, shape, width, d_out, dtype):
+    """Leaf input x and parameters (w1, b1, w2, b2) of one ffn call."""
+    def leaf(*s):
+        return Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+
+    return leaf(*shape), (leaf(shape[-1], width), leaf(width), leaf(width, d_out),
+                          leaf(d_out))
+
+
+class TestFusedFFN:
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(35)
+        x, params = ffn_leaves(rng, shape, 6, 3, np.float64)
+        readout = Tensor(rng.standard_normal(shape[:-1] + (3,)))
+        leaves = (x,) + params
+        for wrt in leaves:
+            def f(v, wrt=wrt):
+                return T.tsum(T.mul(T.ffn(*[v if t is wrt else t for t in leaves]), readout))
+            assert finite_diff_check(f, wrt) < 1e-6
+
+    @settings(deadline=None, max_examples=60)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           lead=st.sampled_from([(5,), (2, 3)]), d=st.integers(1, 6), width=st.integers(1, 9),
+           d_out=st.integers(1, 5), normed=st.booleans(), seed=st.integers(0, 2**16))
+    def test_equals_primitive_graph(self, dtype, lead, d, width, d_out, normed, seed):
+        """Output and every gradient, the five of ffn's operands and, for a
+        layer_norm input, those of the layer_norm's operands, equal the
+        linear -> relu -> linear graph's bit for bit."""
+        rng = np.random.default_rng(seed)
+        x, params = ffn_leaves(rng, lead + (d,), width, d_out, dtype)
+        gain, bias = (Tensor(rng.standard_normal(d).astype(dtype), requires_grad=True)
+                      for _ in range(2))
+        readout = rng.standard_normal(lead + (d_out,)).astype(dtype)
+
+        def graph(op):
+            fed = T.layer_norm(x, gain, bias) if normed else x
+            return op(fed, *params)
+
+        leaves = [x, *params] + ([gain, bias] if normed else [])
+        assert_same_graph(lambda: graph(T.ffn), lambda: graph(ffn_composite), leaves, readout)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(36)
+        x, params = ffn_leaves(rng, (2, 4), 3, 2, np.float64)
+        x = Tensor(x.data)
+        backward(T.tsum(T.ffn(x, *params)))
+        assert x.grad is None and all(p.grad.shape == p.shape for p in params)
+
+    def test_checks(self):
+        rng = np.random.default_rng(37)
+        x, (w1, b1, w2, b2) = ffn_leaves(rng, (2, 4), 3, 2, np.float64)
+        with pytest.raises(T.ShapeError, match="d_in"):
+            T.ffn(T.narrow(x, 1, 0, 3), w1, b1, w2, b2)
+        with pytest.raises(T.ShapeError, match="weights"):
+            T.ffn(x, w1, b1, w1, b2)
+        with pytest.raises(T.ShapeError, match="biases"):
+            T.ffn(x, w1, b2, w2, b2)
+        with pytest.raises(T.DtypeError):
+            T.ffn(x, w1, b1, w2, Tensor(b2.data.astype(np.float32)))
+
+
 def projected_composite(xq, xkv, n_heads, wq, wk, wv, bq=None, bv=None, key_mask=None):
     """Three ``linear`` nodes feeding the primitive attention graph: the
     graph the fused ``attention`` node, projections included, replaces."""
@@ -777,6 +872,19 @@ class TestTiledAttention:
         assert out.data.dtype == dtype and np.array_equal(out.data, ref().data)
         for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
             assert a.dtype == dtype and np.array_equal(a, r)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sample_last_tile_with_one_wide_heads(self, dtype):
+        # the last tile's upstream gradient splits into heads as a strided
+        # view, the whole batch's as a copy
+        h, Lq, Lk = 2, 22, 16
+        B = tile_samples(h, Lq, Lk, dtype) + 1
+        rng = np.random.default_rng(27)
+        xq, xkv, params = attention_leaves(rng, B, Lq, Lk, 3, 2, h, dtype)
+        readout = rng.standard_normal((B, Lq, h)).astype(dtype)
+        assert_same_graph(lambda: T.attention(xq, xkv, h, *params),
+                          lambda: projected_composite(xq, xkv, h, *params),
+                          present(xq, xkv, *params), readout)
 
     @NON_FINITE
     def test_non_finite_logit_in_a_later_tile(self, bad):
