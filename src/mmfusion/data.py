@@ -72,14 +72,20 @@ class SyntheticSpec:
         if self.vocab_size < 2 + self.n_classes + 4:
             problems.append(
                 f"vocab_size {self.vocab_size} too small for {self.n_classes} keywords")
-        # each size is capped on its own; their product, the float32 images,
-        # has a budget of 1 GiB
-        image_bytes = (self.n_classes * self.samples_per_class * self.image_size ** 2
-                       * self.channels * 4)
+        # each size is capped on its own; their products have budgets: 1 GiB
+        # of float32 images and 2**24 tokens, and a spec over both is told of
+        # the images
+        n_samples = self.n_classes * self.samples_per_class
+        image_bytes = n_samples * self.image_size ** 2 * self.channels * 4
+        n_tokens = n_samples * self.sentence_len[1]
         if image_bytes > 2**30:
             problems.append(
                 f"images would take {image_bytes / 2**30:.1f} GiB, over the 1 GiB budget "
                 f"(n_classes x samples_per_class x image_size^2 x channels x 4 bytes)")
+        elif n_tokens > 2**24:
+            problems.append(
+                f"token lists could hold {n_tokens:,} tokens, over the budget of 2**24 "
+                f"(n_classes x samples_per_class x sentence_len[1])")
         return problems
 
 

@@ -50,11 +50,26 @@ A node keeps only what its backward cannot rebuild cheaply and bit for bit:
   given an output projection, the merged heads it maps. The batch is worked
   in tiles of at most ``ATTENTION_TILE_BYTES`` (512 KiB) of [h, Lq, Lk]
   probabilities, and a call of one tile recomputes like one of several.
+
+Sums along short axes are BLAS products with ones, as Caffe takes its bias
+gradients with a ones "bias multiplier": numpy reduces a short axis several
+times more slowly. ``_row_sum`` gives layer_norm's row sums, forward and
+back, softmax's row totals and the ``(g * y)`` dots of its backward and
+attention's as ``x @ ones``, one BLAS call per trailing [L, d] slice, so a
+row's sum does not depend on the other samples of the batch or on the
+attention tiling. ``_lead_sum`` gives every bias and gain gradient as a gemm
+with two rows of ones, which OpenBLAS never splits along the summed axis, so
+no sum depends on the BLAS thread count. The summation order is BLAS's, not
+numpy's pairwise one; fused nodes and their primitive graphs sum alike, so
+they stay bit-identical to each other. The softmax row max has no product
+form and stays a numpy reduction.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 
 import numpy as np
 
@@ -201,6 +216,40 @@ def _check_same_dtype(op, *tensors):
 
 
 # ---------------------------------------------------------------------------
+# sums as BLAS products
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _ones_column(d, dtype):
+    """A read-only [d, 1] column of ones, one per width and dtype."""
+    ones = np.ones((d, 1), dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+def _row_sum(x, axis=-1):
+    """``x.sum(axis=axis, keepdims=True)``. Over the last of 3 or more axes
+    it is ``x @ ones``: numpy makes one BLAS call per trailing [L, d] slice,
+    so a row's sum does not depend on the other samples of a batch or on how
+    attention tiles it. Any other axis, and a 1-D or 2-D operand, keep
+    numpy's sum; one product over a 2-D operand's rows would make a row's
+    sum depend on its place."""
+    if x.ndim < 3 or axis not in (-1, x.ndim - 1):
+        return x.sum(axis=axis, keepdims=True)
+    return x @ _ones_column(x.shape[-1], x.dtype)
+
+
+def _lead_sum(g, tail):
+    """``g`` summed over every axis before its last ``tail`` axes, as one
+    product with two rows of ones: numpy then calls gemm, which OpenBLAS never
+    splits along the summed axis, so the sum does not depend on the BLAS
+    thread count (a single ones row would be a gemv, which does split)."""
+    kept = g.shape[g.ndim - tail:]
+    n = math.prod(g.shape[:g.ndim - tail])
+    return (np.ones((2, n), g.dtype) @ g.reshape(n, math.prod(kept)))[0].reshape(kept)
+
+
+# ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
 
@@ -211,10 +260,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         nd = b.data.ndim
         if nd == 0 or a.data.ndim < nd or a.shape[a.data.ndim - nd:] != b.shape:
             raise ShapeError(f"add: shape {a.shape} incompatible with {b.shape}")
-    lead = tuple(range(a.data.ndim - b.data.ndim))
+    nb = b.data.ndim
 
     def backward_fn(g):
-        return g, (g.sum(axis=lead) if lead else g)
+        return g, (_lead_sum(g, nb) if g.ndim > nb else g)
 
     return _result(a.data + b.data, (a, b), backward_fn)
 
@@ -326,7 +375,7 @@ def _softmax_forward(x, axis, where, out=None):
         raise NonFiniteError(f"{where} has {bad} non-finite entries")
     e = np.subtract(x, top, out=out)
     np.exp(e, out=e)
-    total = e.sum(axis=axis, keepdims=True)
+    total = _row_sum(e, axis)
     e /= total
     return e, top, total
 
@@ -341,8 +390,7 @@ def _softmax_recompute(x, top, total):
 
 
 def _softmax_backward(y, g, axis):
-    dot = (g * y).sum(axis=axis, keepdims=True)
-    return y * (g - dot)
+    return y * (g - _row_sum(g * y, axis))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -371,25 +419,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must be shape ({d},), got {gain.shape} and {bias.shape}")
-    # the arithmetic of np.mean and np.var, centring once
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    # np.mean and np.var as row sums over d, centring once
+    xhat = x.data - _row_sum(x.data) / d
+    var = _row_sum(np.square(xhat)) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     gd, bd = gain.data, bias.data
-    axes = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g):
-        # inv * (gy - m1 - xhat * m2) with np.mean's arithmetic, built in
-        # place over two temporaries
+        # inv * (gy - m1 - xhat * m2) with row means, built in place over
+        # two temporaries
         gy = g * gd
-        m1 = gy.sum(axis=-1, keepdims=True) / d
+        m1 = _row_sum(gy) / d
         t = gy * xhat
-        m2 = t.sum(axis=-1, keepdims=True) / d
+        m2 = _row_sum(t) / d
         gy -= m1
         gy -= np.multiply(xhat, m2, out=t)
         gy *= inv
-        return gy, np.multiply(g, xhat, out=t).sum(axis=axes), g.sum(axis=axes)
+        return gy, _lead_sum(np.multiply(g, xhat, out=t), 1), _lead_sum(g, 1)
 
     out = _result(_ln_affine(xhat, gd, bd), (x, gain, bias), backward_fn)
     if out._vertex is not None:
@@ -444,7 +491,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         grads = _project_backward(_rebuilt(xk), wd, g, need_gx)
         if not has_bias:
             return grads
-        return grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
+        return grads + (_lead_sum(g, 1),)
 
     return _result(out, parents, backward_fn)
 
@@ -498,8 +545,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gh *= hid > 0       # relu's mask, on a fresh array
         del hid
         gx, gw1 = _project_backward(xd, w1d, gh, need_gx)
-        lead = tuple(range(g.ndim - 1))
-        return gx, gw1, gh.sum(axis=lead), gw2, g.sum(axis=lead)
+        return gx, gw1, _lead_sum(gh, 1), gw2, _lead_sum(g, 1)
 
     return _result(out, parents, backward_fn)
 
@@ -521,10 +567,11 @@ def _merge_heads(dst, a, h):  # [n*h, L, dh] written into dst [n, L, h*dh]
 def _bias_grad(g, h):
     """A q/v bias's gradient: the [n, L, d] ``g`` summed over n and L in the
     primitive graph's order. With heads one wide, its head merge hands the
-    bias a strided view, whose reduction numpy orders differently."""
+    bias a strided view, which can reach BLAS transposed and sum in another
+    order."""
     if g.shape[2] == h:
         g = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return g.sum(axis=(0, 1))
+    return _lead_sum(g, 1)
 
 
 def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
@@ -657,7 +704,7 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
                 gt = np.ascontiguousarray(gt)
             # the softmax gradient y * (gs - dot) * scale, built in place
             gs = gt @ vh[rows].transpose(0, 2, 1)
-            gs -= (gs * y).sum(axis=2, keepdims=True)
+            gs -= _row_sum(gs * y)
             gs *= y
             gs *= scale
             _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
@@ -678,7 +725,7 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
         if wod is not None:
             grads += (_project_backward(merged, wod, g_out, False)[1],)
             if bod is not None:
-                grads += (g_out.sum(axis=(0, 1)),)
+                grads += (_lead_sum(g_out, 1),)
         return grads
 
     return _result(out, parents, backward_fn)
@@ -720,7 +767,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, window: int) -> Tensor:
     def backward_fn(g):
         gp = g.reshape(B * steps, d_out) * mask
         gw = windows.reshape(B * steps, window * d_in).T @ gp
-        gb = gp.sum(axis=0)
+        gb = _lead_sum(gp, 1)
         gwin = (gp @ wd.T).reshape(B, steps, window * d_in)
         gx = np.zeros((B, n, d_in), dtype)
         for j in range(window):

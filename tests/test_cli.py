@@ -242,6 +242,23 @@ class TestMalformedInput:
         assert "over the 1 GiB budget" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_token_lists_over_the_budget_exit_2(self, tmp_path, capsys, command):
+        # 1-pixel images; the token lists would hold 81,920,000 tokens
+        doc = json.loads(json.dumps(TINY))
+        doc["text_encoder"]["max_len"] = 4096
+        doc["data"].update(n_classes=4, samples_per_class=5_000, image_size=1,
+                           patch_size=1, sentence_len=[4000, 4096])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+        start = time.perf_counter()
+        assert main(argv + (["--epochs", "0"] if command == "train" else [])) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "over the budget of 2**24" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("doc", [[1, 2], {"trainer": 5}])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"

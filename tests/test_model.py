@@ -108,6 +108,25 @@ class TestAssembly:
             assert len(problems) == 1 and "over the 1 GiB budget" in problems[0], problems
             assert problems[0].startswith("data: images would take")
 
+    @pytest.mark.parametrize("n_classes, samples_per_class, longest, ok", [
+        (4, 4096, 1024, True),          # 2**24 tokens exactly
+        (4, 4097, 1024, False),
+        (4, 5_000, 4096, False),        # 1-pixel images; 93 s and 672 MB to generate
+        (1000, 10_000, 4096, False),    # every size at its cap
+    ])
+    def test_token_lists_have_a_budget(self, n_classes, samples_per_class, longest, ok):
+        cfg = RunConfig()
+        cfg.text_encoder.max_len = longest
+        cfg.data = SyntheticSpec(n_classes=n_classes, samples_per_class=samples_per_class,
+                                 image_size=1, patch_size=1, vocab_size=n_classes + 6,
+                                 sentence_len=(1, longest))
+        problems = cfg.validate()
+        if ok:
+            assert problems == []
+        else:
+            assert len(problems) == 1 and "over the budget of 2**24" in problems[0], problems
+            assert problems[0].startswith("data: token lists could hold")
+
     def test_unimodal_models_only_build_their_side(self, tiny_dataset):
         img = MultimodalClassifier(tiny_cfg(modality="image"),
                                    vocab_size=len(tiny_dataset.vocab))

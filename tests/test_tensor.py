@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -152,19 +155,45 @@ def layer_norm_reference(x, gain, bias, eps):
     return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
 
 
+def ones_row_sum(a):
+    """Row sums of a 3-D ``a`` as products with a [d, 1] ones column."""
+    return a @ np.ones((a.shape[-1], 1), a.dtype)
+
+
+def ones_lead_sum(a):
+    """``a`` summed over all but its last axis as a product with two rows
+    of ones."""
+    rows = a.reshape(-1, a.shape[-1])
+    return (np.ones((2, rows.shape[0]), a.dtype) @ rows)[0]
+
+
+def layer_norm_ones_reference(x, gain, bias, eps):
+    """``layer_norm_reference`` with its means taken as ones-column sums."""
+    d = x.shape[-1]
+    xhat = x - ones_row_sum(x) / d
+    return xhat * (1.0 / np.sqrt(ones_row_sum(np.square(xhat)) / d + eps)) * gain + bias
+
+
 class TestLayerNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 32, 100])
     def test_bit_identical_to_mean_var_reference(self, dtype, d):
+        """Bit for bit the mean/var expression with its sums taken as
+        products with ones; within the recursive-summation error bound,
+        d * eps of the dtype times the centring's condition number, of the
+        textbook expression with np.mean and np.var."""
         rng = np.random.default_rng(d)
         for shift, spread in ((0.0, 1.0), (1e3, 1e-2), (-5.0, 1e4)):
             x = (shift + spread * rng.standard_normal((4, 3, d))).astype(dtype)
             gain = rng.standard_normal(d).astype(dtype)
             bias = rng.standard_normal(d).astype(dtype)
             out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-5).data
-            expect = layer_norm_reference(x, gain, bias, 1e-5)
+            expect = layer_norm_ones_reference(x, gain, bias, 1e-5)
             assert out.dtype == expect.dtype == dtype
             assert np.array_equal(out, expect)
+            cond = (abs(shift) + spread) / spread
+            tol = d * np.finfo(dtype).eps * cond * np.abs(gain).max()
+            assert np.abs(out - layer_norm_reference(x, gain, bias, 1e-5)).max() <= tol
 
     def test_constant_vector_is_zeroed(self):
         x = t64([5.0, 5.0, 5.0, 5.0])
@@ -208,7 +237,9 @@ class TestLayerNorm:
            seed=st.integers(0, 2**16))
     def test_backward_equals_the_mean_expression(self, dtype, d, rows, spread, seed):
         """The in-place backward equals the expression it replaced,
-        ``inv * (gy - m1 - xhat * m2)`` with ``np.mean``, bit for bit."""
+        ``inv * (gy - m1 - xhat * m2)``, bit for bit with its means and the
+        gain and bias sums taken as products with ones, and within a stated
+        tolerance per dtype with ``np.mean`` and ``np.sum``."""
         rng = np.random.default_rng(seed)
         x = Tensor((spread * rng.standard_normal((rows, 3, d))).astype(dtype),
                    requires_grad=True)
@@ -218,16 +249,112 @@ class TestLayerNorm:
         backward(T.tsum(T.mul(T.layer_norm(x, gain, bias), Tensor(g))))
 
         xd = x.data
-        xhat = xd - xd.sum(axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
+        xhat = xd - ones_row_sum(xd) / d
+        inv = 1.0 / np.sqrt(ones_row_sum(np.square(xhat)) / d + 1e-5)
         xhat *= inv
         gy = g * gain.data
+        m1 = ones_row_sum(gy) / d
+        m2 = ones_row_sum(gy * xhat) / d
+        expect = (inv * (gy - m1 - xhat * m2), ones_lead_sum(g * xhat), ones_lead_sum(g))
+        got = (x.grad, gain.grad, bias.grad)
+        for a, ref in zip(got, expect):
+            assert a.dtype == ref.dtype == dtype and np.array_equal(a, ref)
+
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        expect = (inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=(0, 1)),
-                  g.sum(axis=(0, 1)))
-        for got, ref in zip((x.grad, gain.grad, bias.grad), expect):
-            assert got.dtype == ref.dtype == dtype and np.array_equal(got, ref)
+        textbook = (inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=(0, 1)),
+                    g.sum(axis=(0, 1)))
+        rtol = {np.float32: 1e-4, np.float64: 1e-12}[dtype]
+        for a, ref in zip(got, textbook):
+            npt.assert_allclose(a, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+# ---------------------------------------------------------------------------
+# sums as BLAS products
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# digests of both helpers on one 100000 x 16 float32 input
+BLAS_SUMS_SCRIPT = """
+import hashlib
+import numpy as np
+from mmfusion import tensor as T
+x = np.random.default_rng(0).standard_normal((100_000, 16)).astype(np.float32)
+for s in (T._lead_sum(x, 1), T._row_sum(x), T._row_sum(x.reshape(10, 10_000, 16))):
+    print(hashlib.sha256(s.tobytes()).hexdigest())
+"""
+
+
+def layout(a, kind):
+    """``a`` itself, a strided view of the same values or the transpose of
+    a contiguous array holding them."""
+    if kind == "strided":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    if kind == "transposed":
+        return np.ascontiguousarray(a.T).T
+    return a
+
+
+class TestBlasSums:
+    """``_row_sum`` and ``_lead_sum`` take sums as products with ones."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(op=st.sampled_from(["layer_norm", "softmax"]),
+           dtype=st.sampled_from([np.float32, np.float64]), B=st.integers(2, 6),
+           L=st.integers(1, 20), d=st.integers(1, 70), seed=st.integers(0, 2**16))
+    def test_a_sample_alone_gives_its_rows_in_the_batch(self, op, dtype, B, L, d, seed):
+        rng = np.random.default_rng(seed)
+        x = (3 * rng.standard_normal((B, L, d))).astype(dtype)
+        g = rng.standard_normal((B, L, d)).astype(dtype)
+        gain, bias = (Tensor(rng.standard_normal(d).astype(dtype)) for _ in range(2))
+
+        def run(xd, gd):
+            xt = Tensor(xd, requires_grad=True)
+            out = T.layer_norm(xt, gain, bias) if op == "layer_norm" else T.softmax(xt)
+            backward(T.tsum(T.mul(out, Tensor(gd))))
+            return out.data, xt.grad
+
+        out, gx = run(x, g)
+        i = int(rng.integers(B))
+        alone, g_alone = run(x[i:i + 1], g[i:i + 1])
+        assert np.array_equal(alone, out[i:i + 1]) and np.array_equal(g_alone, gx[i:i + 1])
+
+    @settings(deadline=None, max_examples=80)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           kind=st.sampled_from(["contiguous", "strided", "transposed"]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_helpers_match_numpy_sums(self, dtype, shape, kind, data, seed):
+        """Within the recursive-summation bound, n * eps of the dtype times
+        the sum of magnitudes for n terms, on each side."""
+        a = layout(np.random.default_rng(seed).standard_normal(shape).astype(dtype), kind)
+        eps = np.finfo(dtype).eps
+
+        got, expect = T._row_sum(a), a.sum(axis=-1, keepdims=True)
+        bound = 2 * a.shape[-1] * eps * np.abs(a).sum(axis=-1, keepdims=True)
+        assert got.dtype == dtype and got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= bound)
+
+        tail = data.draw(st.integers(0, a.ndim))
+        lead = tuple(range(a.ndim - tail))
+        got, expect = T._lead_sum(a, tail), a.sum(axis=lead)
+        n = int(np.prod(a.shape[:a.ndim - tail]))
+        assert got.dtype == dtype and got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 2 * n * eps * np.abs(a).sum(axis=lead))
+
+    def test_sums_do_not_depend_on_the_blas_thread_count(self):
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", BLAS_SUMS_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.split())
+        assert len(runs[0]) == 3 and runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
