@@ -11,9 +11,10 @@ bidirectional cross-attention) is the default.
 import numpy as np
 
 from mmfusion.bench import topology_parameter_count
-from mmfusion.fusion import (CrossModalAttention, HybridAttentionFusion,
-                             InteractionEncoderFusion, MergedAttentionFusion,
-                             dropout_channel, elastic_net_channel)
+from mmfusion import tensor as T
+from mmfusion.fusion import (HybridAttentionFusion, InteractionEncoderFusion,
+                             MergedAttentionFusion, dropout_channel,
+                             elastic_net_channel)
 from mmfusion.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -34,19 +35,24 @@ v = Tensor(np.array([2.0, 0.3, -1.0, 0.05]))
 print("elastic net (alpha=1, beta=0.5):",
       elastic_net_channel(v, 1.0, 0.5).data)
 
-# 3. Cross attention, pooled mode: softmax over a single key is forced to 1,
-#    so each direction reduces exactly to a value projection. Modules are
-#    built float32; ``astype`` casts this one to match the float64 inputs.
-attn = CrossModalAttention(8, 2, np.random.default_rng(2),
-                           mode="pooled").astype(np.float64)
-t_pool = rng.standard_normal((2, 8))
-i_pool = rng.standard_normal((2, 8))
-fused = attn(Tensor(t_pool), None, None, Tensor(i_pool), None)
-direct = i_pool @ attn.v_image.weight.data + t_pool @ attn.v_text.weight.data
-print("pooled-mode output equals value projections exactly:",
-      np.array_equal(fused.data, direct))
+# 3. Why the hybrid path attends over whole sequences: softmax over a single
+#    key is forced to 1, so attention over a length-1 key/value sequence
+#    reduces exactly to the value projection, and the query and key
+#    projections get exactly zero gradient.
+queries = Tensor(rng.standard_normal((2, 3, 8)))
+single_key = Tensor(rng.standard_normal((2, 1, 8)))
+wq, wk, wv = (Tensor(rng.standard_normal((8, 8)), requires_grad=True) for _ in range(3))
+read = T.attention(queries, single_key, 2, wq, wk, wv)
+value = single_key.data[:, 0] @ wv.data         # [2, 8]: one value row per sample
+print("single-key attention equals the value projection exactly:",
+      np.array_equal(read.data, np.repeat(value[:, None], 3, axis=1)))
+T.backward(T.tsum(read))
+print("query and key projection gradients are all zero:",
+      not wq.grad.any() and not wk.grad.any(), "| value projection's is not:",
+      bool(wv.grad.any()))
 
-# 4. Sequence mode attends over the other modality's pre-pooled features.
+# 4. The hybrid path: each modality's pooled vector queries the other
+#    modality's pre-pooled sequence.
 hybrid = HybridAttentionFusion(8, 2, 16, np.random.default_rng(3))
 text_ctx = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
 image_ctx = Tensor(rng.standard_normal((2, 4, 8)).astype(np.float32))

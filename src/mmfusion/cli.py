@@ -23,7 +23,6 @@ from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
                    load_dataset, save_dataset)
 from .decision import VOTE_STRATEGIES
 from .fields import ConfigError, from_dict
-from .fusion import ATTENTION_MODES
 from .metrics import save_metrics
 from .model import MultimodalClassifier, RunConfig
 from .tensor import NonFiniteError
@@ -35,8 +34,6 @@ GAMMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 # field, argparse options). Each subcommand registers only the flags it reads.
 OVERRIDES = {
     "seed": (None, "seed", {"type": int}),
-    "mode": ("fusion", "mode", {"choices": ATTENTION_MODES,
-                                "help": "cross-attention mode override"}),
     "vote": ("decision", "vote", {"choices": VOTE_STRATEGIES}),
     "gamma": ("decision", "gamma", {"type": float}),
     "epochs": ("trainer", "epochs", {"type": int}),
@@ -240,7 +237,7 @@ def build_parser():
         description="image+text fusion classifier: data generation, training, "
                     "evaluation, ablations, benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_flags = ("seed", "mode", "vote", "gamma", "data", "epochs")
+    run_flags = ("seed", "vote", "gamma", "data", "epochs")
 
     p = sub.add_parser("generate", help="create a synthetic dataset directory")
     _add_common(p, "dataset")
@@ -252,7 +249,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p, "eval", "mode", "vote", "data")
+    _add_common(p, "eval", "vote", "data")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -261,7 +258,7 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gamma-sweep", help="train across the gamma grid")
-    _add_common(p, "gamma_sweep", "seed", "mode", "vote", "data", "epochs")
+    _add_common(p, "gamma_sweep", "seed", "vote", "data", "epochs")
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_gamma_sweep)
 

@@ -293,8 +293,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # batching
 # ---------------------------------------------------------------------------
 
-def make_text_batch(samples, vocab_size, min_len=MIN_TEXT_WIDTH) -> TextBatch:
-    width = max(min_len, max(len(s.tokens) for s in samples))
+def make_text_batch(samples, vocab_size) -> TextBatch:
+    width = max(MIN_TEXT_WIDTH, max(len(s.tokens) for s in samples))
     ids = np.full((len(samples), width), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(samples), width), dtype=bool)
     for r, s in enumerate(samples):

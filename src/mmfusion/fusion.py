@@ -6,8 +6,8 @@ are concatenated and mixed by a linear+ReLU head (O_T, O_I). The context
 sequences feed the hybrid attention path producing the interaction feature
 O_H: per-modality intra-modal modeling first (a transformer block for image
 regions, multi-window 1-D convolutions for text), then bidirectional
-cross-attention between the pooled vector of one modality and the pre-pooled
-sequence of the other.
+cross-attention in which the pooled vector of one modality queries the whole
+pre-pooled sequence of the other (over a single key, softmax is forced to one).
 
 Two alternative fusion topologies are provided for benchmarking: merged
 attention (concatenate sequences, then self-attention) and an interaction
@@ -26,7 +26,6 @@ from .encoders import masked_mean
 from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
 from .tensor import Module, Tensor, dropout_mask, _result
 
-ATTENTION_MODES = ("sequence", "pooled")
 TOPOLOGIES = ("hybrid", "merged", "interaction")
 
 
@@ -81,26 +80,19 @@ class UnimodalFusionHead(Module):
 
 
 class SelfAttentionPool(Module):
-    """Transformer block over region features, mean over positions, LayerNorm.
+    """Transformer block over region features, mean over positions, LayerNorm;
+    returns (pooled [B, d], updated sequence [B, N, d])."""
 
-    Returns (pooled [B, d], updated sequence [B, N, d]). ``identity_block``
-    is a test hook that skips the transformer so the pooling arithmetic can
-    be checked in isolation.
-    """
-
-    def __init__(self, d, n_heads, ffn_width, rng, identity_block=False):
+    def __init__(self, d, n_heads, ffn_width, rng):
         super().__init__()
-        self.identity_block = identity_block
-        if not identity_block:
-            self.block = TransformerBlock(d, n_heads, ffn_width, rng)
+        self.block = TransformerBlock(d, n_heads, ffn_width, rng)
         self.norm = LayerNorm(d)
 
     def __call__(self, seq: Tensor):
         if seq.shape[1] < 1:
             raise T.ShapeError("image_self_attention_pool: empty region sequence")
-        updated = seq if self.identity_block else self.block(seq)
-        pooled = self.norm(T.mean_pool(updated, axis=1))
-        return pooled, updated
+        updated = self.block(seq)
+        return self.norm(T.mean_pool(updated, axis=1)), updated
 
 
 def _window_key_mask(pad_mask: np.ndarray, window: int) -> np.ndarray:
@@ -145,7 +137,7 @@ class TextConvPool(Module):
         self.mix = Linear(3 * d, d, rng)
         self.norm = LayerNorm(d)
 
-    def __call__(self, seq: Tensor, pad_mask: np.ndarray | None = None):
+    def __call__(self, seq: Tensor, pad_mask: np.ndarray):
         B, D, d = seq.shape
         if D < 3:
             raise T.ShapeError(
@@ -157,14 +149,10 @@ class TextConvPool(Module):
         phrase_masks = []
         for window, (w, b) in zip(self.WINDOWS, weights):
             feats = T.conv1d(seq, w, b, window)          # [B, D-window+1, d]
-            if pad_mask is not None:
-                valid = _window_key_mask(pad_mask, window)
-                gate = np.where(valid[:, :, None], 0.0, -1e9)
-                masked = T.add(feats, Tensor(np.broadcast_to(
-                    gate, feats.shape).astype(feats.data.dtype)))
-            else:
-                valid = np.ones(feats.shape[:2], dtype=bool)
-                masked = feats
+            valid = _window_key_mask(pad_mask, window)
+            gate = np.where(valid[:, :, None], 0.0, -1e9)
+            masked = T.add(feats, Tensor(np.broadcast_to(
+                gate, feats.shape).astype(feats.data.dtype)))
             pooled.append(T.max_pool(masked, axis=1))    # [B, d]
             phrase_chunks.append(feats)
             phrase_masks.append(valid)
@@ -180,11 +168,8 @@ class CrossModalAttention(Module):
 
     ``attend`` works on whole sequences and serves the interaction topology.
     Called directly, the module produces the hybrid interaction feature: each
-    modality's pooled vector queries the other modality. mode="sequence"
-    (default) attends over the other modality's pre-pooled sequence.
-    mode="pooled" attends over its length-1 pooled vector, where softmax over
-    a single key is forced to one and the output reduces exactly to the value
-    projection. Projections are bias-free matrix products.
+    modality's pooled vector queries the other modality's pre-pooled
+    sequence. Projections are bias-free matrix products.
 
     Each direction is one ``T.attention`` node fed the query and key/value
     sequences and the projection weights; ``q_from_text``, ``k_image`` and
@@ -194,14 +179,11 @@ class CrossModalAttention(Module):
     instead of keeping them in the graph.
     """
 
-    def __init__(self, d, n_heads, rng, mode="sequence"):
+    def __init__(self, d, n_heads, rng):
         super().__init__()
-        if mode not in ATTENTION_MODES:
-            raise ValueError(f"cross_modal_attention: unknown mode {mode!r}")
         if d % n_heads:
             raise T.ShapeError(f"cross_modal_attention: width {d} not divisible "
                                f"by {n_heads} heads")
-        self.mode = mode
         self.n_heads = n_heads
         self.q_from_text = Linear(d, d, rng, bias=False)
         self.k_image = Linear(d, d, rng, bias=False)
@@ -228,10 +210,6 @@ class CrossModalAttention(Module):
                 f"cross_modal_attention: widths differ, {text_pooled.shape} vs "
                 f"{image_pooled.shape}")
         B, d = text_pooled.shape
-        if self.mode == "pooled":
-            text_seq = T.reshape(text_pooled, (B, 1, d))
-            image_seq = T.reshape(image_pooled, (B, 1, d))
-            text_mask = None
         from_image, from_text = self.attend(
             T.reshape(text_pooled, (B, 1, d)), image_seq,
             T.reshape(image_pooled, (B, 1, d)), text_seq, text_mask)
@@ -242,17 +220,16 @@ class HybridAttentionFusion(Module):
     """Fig-style hybrid path: self-attention within each modality, then
     bidirectional cross attention. Consumes encoder context sequences."""
 
-    def __init__(self, d, n_heads, ffn_width, rng, mode="sequence"):
+    def __init__(self, d, n_heads, ffn_width, rng):
         super().__init__()
         self.image_pool = SelfAttentionPool(d, n_heads, ffn_width, rng)
         self.text_pool = TextConvPool(d, rng)
-        self.cross = CrossModalAttention(d, n_heads, rng, mode=mode)
+        self.cross = CrossModalAttention(d, n_heads, rng)
 
     def __call__(self, text_ctx: Tensor, text_mask: np.ndarray, image_ctx: Tensor) -> Tensor:
         image_pooled, image_updated = self.image_pool(image_ctx)
         text_pooled, phrase_seq, phrase_mask = self.text_pool(text_ctx, text_mask)
-        return self.cross(text_pooled, phrase_seq, phrase_mask,
-                          image_pooled, image_updated)
+        return self.cross(text_pooled, phrase_seq, phrase_mask, image_pooled, image_updated)
 
 
 class ConcatLinearFusion(Module):
@@ -307,9 +284,9 @@ class InteractionEncoderFusion(Module):
         return _merged_self_attention(self.block, from_image, text_mask, from_text)
 
 
-def build_interaction_path(topology, d, n_heads, ffn_width, rng, mode="sequence"):
+def build_interaction_path(topology, d, n_heads, ffn_width, rng):
     if topology == "hybrid":
-        return HybridAttentionFusion(d, n_heads, ffn_width, rng, mode=mode)
+        return HybridAttentionFusion(d, n_heads, ffn_width, rng)
     if topology == "merged":
         return MergedAttentionFusion(d, n_heads, ffn_width, rng)
     if topology == "interaction":

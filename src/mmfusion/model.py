@@ -16,17 +16,19 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
+from .bench import topology_parameter_count
 from .data import MIN_TEXT_WIDTH, SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .fields import ConfigError, bounded, field_problems, from_dict
-from .fusion import (ATTENTION_MODES, TOPOLOGIES, ConcatLinearFusion,
+from .fusion import (TOPOLOGIES, ConcatLinearFusion,
                      UnimodalFusionHead, build_interaction_path, dropout_channel,
                      elastic_net_channel)
 from .tensor import Module
 
 MODALITIES = ("multimodal", "image", "text")
+PARAMETER_BUDGET = 2**26    # its float32 weights, gradients and AdamW moments: 1 GiB
 
 
 @dataclass
@@ -34,7 +36,6 @@ class FusionSettings:
     p: float = bounded(0.9, lo=0, hi=1, lo_open=True, label="keep probability p")
     alpha: float = bounded(0.01, lo=0)      # L1 coefficient
     beta: float = bounded(0.01, lo=0)       # L2 coefficient
-    mode: str = bounded("sequence", choices=ATTENTION_MODES, label="attention mode")
     topology: str = bounded("hybrid", choices=TOPOLOGIES)
     use_hybrid_attention: bool = True    # off -> concat+linear interaction path
     use_reg_channels: bool = True        # off -> both channels pass through
@@ -101,7 +102,31 @@ class RunConfig:
                 problems.append(
                     f"text_encoder.max_len {text.max_len} is shorter than the widest "
                     f"text batch, {width} tokens (data.sentence_len {data.sentence_len})")
+        sized = (text, self.image_encoder, data, self.fusion, self)    # the count's inputs
+        if not any(map(field_problems, sized)) and self.parameter_count() > PARAMETER_BUDGET:
+            problems.append(f"the model would hold {self.parameter_count():,} parameters, "
+                            f"over the budget of {PARAMETER_BUDGET:,}")
         return problems + field_problems(self)
+
+    def parameter_count(self):
+        """Closed-form parameter count of the model built on ``data.vocab_size`` words."""
+        text, image, data, fz = self.text_encoder, self.image_encoder, self.data, self.fusion
+        d, n = text.d_model, data.n_classes
+        patches = (data.image_size // data.patch_size) ** 2
+        sides = {   # each encoder and its embedding and input projection parameters
+            "text": (text, (data.vocab_size + text.max_len + 1 + d) * text.embedding_dim + d),
+            "image": (image, (data.patch_size ** 2 * data.channels + patches + 3)
+                      * image.d_model)}
+        total = 0
+        for enc, inputs in (sides[m] for m in sides if self.modality in (m, "multimodal")):
+            blocks = 1 if enc.share_layers else enc.n_layers    # a merged path is one block
+            total += inputs + blocks * topology_parameter_count("merged", enc.d_model,
+                                                                enc.ffn_width)
+            total += 2 * d * d + d + d * n + n      # the side's fusion head and classifier
+        if self.modality == "multimodal":            # the interaction path and classifier
+            total += d * n + n + (topology_parameter_count(fz.topology, d, text.ffn_width)
+                                  if fz.use_hybrid_attention else 2 * d * d + d)
+        return total
 
     def require_valid(self):
         problems = self.validate()
@@ -145,7 +170,7 @@ class MultimodalClassifier(Module):
             if cfg.fusion.use_hybrid_attention:
                 self.interaction_path = build_interaction_path(
                     cfg.fusion.topology, d, cfg.text_encoder.n_heads,
-                    cfg.text_encoder.ffn_width, rng, mode=cfg.fusion.mode)
+                    cfg.text_encoder.ffn_width, rng)
             else:
                 self.interaction_path = ConcatLinearFusion(d, rng)
             self.interaction_classifier = BranchClassifier(

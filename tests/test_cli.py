@@ -200,6 +200,7 @@ class TestMalformedInput:
         ("data", {"split_ratios": [1.0, 0.0, 0.0]}, "without a train or test sample"),
         ("fusion", {"d_f": None}, "unknown fields ['d_f']"),
         ("data", {"sentence_len": [3, 17]}, "text_encoder.max_len 16 is shorter"),
+        ("fusion", {"mode": "sequence"}, "fusion: unknown fields ['mode']"),
     ])
     def test_mistyped_config_field_exits_2(self, tmp_path, capsys, section, fields, needle):
         doc = json.loads(json.dumps(TINY))
@@ -240,6 +241,20 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert "over the 1 GiB budget" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_model_over_the_parameter_budget_exits_2(self, tmp_path, capsys):
+        # each encoder size at its cap: about 1e11 parameters
+        caps = dict(d_model=4096, n_heads=256, n_layers=256, ffn_width=16384,
+                    embedding_dim=4096, share_layers=False, max_len=4096)
+        doc = dict(TINY, text_encoder=caps, image_encoder=caps)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "parameters, over the budget of 67,108,864" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["train", "generate"])
@@ -728,6 +743,8 @@ class TestFlags:
         ("generate", "--vote", "uniform"), ("generate", "--gamma", "0.2"),
         ("eval", "--seed", "1"), ("eval", "--gamma", "0.2"),
         ("gamma-sweep", "--gamma", "0.2"),
+        ("train", "--mode", "pooled"), ("eval", "--mode", "pooled"),
+        ("ablate", "--mode", "pooled"), ("gamma-sweep", "--mode", "pooled"),
         ("bench-attention", "--mode", "pooled"),
         ("bench-attention", "--vote", "uniform"),
         ("bench-attention", "--gamma", "0.2"),

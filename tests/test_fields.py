@@ -12,9 +12,10 @@ from mmfusion import decision, encoders, fusion, layers, model
 from mmfusion.data import MIN_TEXT_WIDTH, SyntheticSpec
 from mmfusion.decision import VOTE_STRATEGIES
 from mmfusion.fields import ConfigError, bounded, field_problems
-from mmfusion.fusion import ATTENTION_MODES, TOPOLOGIES
+from mmfusion.fusion import TOPOLOGIES
 from mmfusion.model import (MODALITIES, DecisionSettings, EncoderConfig,
-                            FusionSettings, RunConfig, TrainerSettings)
+                            FusionSettings, MultimodalClassifier, RunConfig,
+                            TrainerSettings)
 from mmfusion.tensor import Module
 
 
@@ -34,7 +35,7 @@ KNOBS = [
     *(f"{enc}.{name}" for enc in ("text_encoder", "image_encoder")
       for name in ("d_model", "n_heads", "n_layers", "ffn_width", "embedding_dim",
                    "share_layers", "max_len")),
-    "fusion.p", "fusion.alpha", "fusion.beta", "fusion.mode", "fusion.topology",
+    "fusion.p", "fusion.alpha", "fusion.beta", "fusion.topology",
     "fusion.use_hybrid_attention", "fusion.use_reg_channels",
     "decision.gamma", "decision.vote",
     "trainer.epochs", "trainer.batch_size", "trainer.lr_text", "trainer.lr_image",
@@ -49,7 +50,7 @@ KNOBS = [
 
 def test_knob_census():
     assert [name for name, _ in leaves(RunConfig())] == KNOBS
-    assert len(KNOBS) == 44
+    assert len(KNOBS) == 43
 
 
 # The parameters of every module constructor and initializer. Modules are
@@ -65,15 +66,14 @@ CONSTRUCTORS = {
     "layers.FeedForward": ["d", "width", "rng", "std"],
     "layers.TransformerBlock": ["d", "n_heads", "ffn_width", "rng", "std"],
     "fusion.UnimodalFusionHead": ["d_in", "d_out", "rng"],
-    "fusion.SelfAttentionPool": ["d", "n_heads", "ffn_width", "rng", "identity_block"],
+    "fusion.SelfAttentionPool": ["d", "n_heads", "ffn_width", "rng"],
     "fusion.TextConvPool": ["d", "rng"],
-    "fusion.CrossModalAttention": ["d", "n_heads", "rng", "mode"],
-    "fusion.HybridAttentionFusion": ["d", "n_heads", "ffn_width", "rng", "mode"],
+    "fusion.CrossModalAttention": ["d", "n_heads", "rng"],
+    "fusion.HybridAttentionFusion": ["d", "n_heads", "ffn_width", "rng"],
     "fusion.ConcatLinearFusion": ["d", "rng"],
     "fusion.MergedAttentionFusion": ["d", "n_heads", "ffn_width", "rng"],
     "fusion.InteractionEncoderFusion": ["d", "n_heads", "ffn_width", "rng"],
-    "fusion.build_interaction_path": ["topology", "d", "n_heads", "ffn_width", "rng",
-                                      "mode"],
+    "fusion.build_interaction_path": ["topology", "d", "n_heads", "ffn_width", "rng"],
     "encoders._BlockStack": ["cfg", "rng"],
     "encoders.TextEncoder": ["cfg", "vocab_size", "rng"],
     "encoders.ImageEncoder": ["cfg", "image_size", "patch_size", "channels", "rng"],
@@ -145,8 +145,7 @@ def run_configs(draw):
         text_encoder=encoder(max(MIN_TEXT_WIDTH, longest)), image_encoder=encoder(),
         fusion=FusionSettings(
             p=draw(st.floats(0, 1, exclude_min=True)), alpha=draw(rate),
-            beta=draw(rate), mode=draw(st.sampled_from(ATTENTION_MODES)),
-            topology=draw(st.sampled_from(TOPOLOGIES)),
+            beta=draw(rate), topology=draw(st.sampled_from(TOPOLOGIES)),
             use_hybrid_attention=draw(st.booleans()),
             use_reg_channels=draw(st.booleans())),
         decision=DecisionSettings(gamma=draw(unit),
@@ -164,6 +163,14 @@ def run_configs(draw):
 def test_json_round_trip(cfg):
     assert cfg.validate() == []
     assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@settings(deadline=None, max_examples=60)
+@given(run_configs())
+def test_closed_form_parameter_count_matches_the_built_model(cfg):
+    # a generated dataset's vocabulary has exactly data.vocab_size words
+    built = MultimodalClassifier(cfg, vocab_size=cfg.data.vocab_size)
+    assert cfg.parameter_count() == built.parameter_count()
 
 
 # JSON values of the wrong type for each annotation

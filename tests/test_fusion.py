@@ -19,6 +19,11 @@ def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+def all_real(x):
+    """A pad mask marking every position of the [B, L, d] array ``x`` real."""
+    return np.ones(np.shape(x)[:2], dtype=bool)
+
+
 def elastic_net_objective(z, x, alpha, beta):
     return (z - x) ** 2 + alpha * np.abs(z) + beta * z * z
 
@@ -150,26 +155,35 @@ class TestUnimodalFusionHead:
 
 
 class TestSelfAttentionPool:
-    def test_single_region_identity_hook(self):
-        pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(3),
-                                 identity_block=True).astype(np.float64)
-        x = np.random.default_rng(4).standard_normal((2, 1, 4))
+    @staticmethod
+    def run_pool(regions, seed):
+        """(pooled, updated, numpy LayerNorm with the pool's own gain and bias)
+        for a pool with a random final norm affine."""
+        rng = np.random.default_rng(seed)
+        pool = SelfAttentionPool(4, 2, 8, rng).astype(np.float64)
+        pool.norm.gain.data = rng.uniform(0.5, 2.0, 4)
+        pool.norm.bias.data = rng.standard_normal(4)
+        x = rng.standard_normal((3, regions, 4))
         pooled, updated = pool(t64(x))
-        # mean of one vector is itself, then LayerNorm
-        mu = x[:, 0].mean(axis=1, keepdims=True)
-        sd = np.sqrt(x[:, 0].var(axis=1) + 1e-5)[:, None]
-        npt.assert_allclose(pooled.data, (x[:, 0] - mu) / sd, atol=1e-9)
-        npt.assert_array_equal(updated.data, x)
+        assert updated.shape == x.shape
+
+        def layer_norm(m):
+            normed = (m - m.mean(axis=1, keepdims=True)) / \
+                np.sqrt(m.var(axis=1, keepdims=True) + 1e-5)
+            return normed * pool.norm.gain.data + pool.norm.bias.data
+
+        return pooled.data, updated.data, layer_norm
+
+    def test_single_region_identity_hook(self):
+        # the mean of one region is that region of the block's output
+        pooled, updated, layer_norm = self.run_pool(1, seed=3)
+        npt.assert_allclose(pooled, layer_norm(updated.mean(axis=1)), atol=1e-9)
+        npt.assert_allclose(pooled, layer_norm(updated[:, 0]), atol=1e-9)
 
     def test_identity_hook_reduces_to_normalized_mean(self):
-        pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(5),
-                                 identity_block=True).astype(np.float64)
-        x = np.random.default_rng(6).standard_normal((3, 5, 4))
-        pooled, _ = pool(t64(x))
-        m = x.mean(axis=1)
-        expect = (m - m.mean(axis=1, keepdims=True)) / \
-            np.sqrt(m.var(axis=1, keepdims=True) + 1e-5)
-        npt.assert_allclose(pooled.data, expect, atol=1e-9)
+        # the pool normalizes the mean over positions of the block's output
+        pooled, updated, layer_norm = self.run_pool(5, seed=5)
+        npt.assert_allclose(pooled, layer_norm(updated.mean(axis=1)), atol=1e-9)
 
     def test_permutation_invariance_without_positions(self):
         pool = SelfAttentionPool(4, 2, 8, np.random.default_rng(7)).astype(np.float64)
@@ -195,14 +209,15 @@ class TestTextConvPool:
         for p in pool.parameters():
             p.data = np.zeros_like(p.data)
         pool.norm.gain.data = np.ones_like(pool.norm.gain.data)
-        out, _, _ = pool(t64(np.random.default_rng(11).standard_normal((2, 5, 4))))
+        x = np.random.default_rng(11).standard_normal((2, 5, 4))
+        out, _, _ = pool(t64(x), all_real(x))
         npt.assert_allclose(out.data, np.zeros((2, 4)), atol=1e-12)
 
     def test_constant_sequence_hand_trace(self):
         pool = self.make()
         row = np.random.default_rng(12).standard_normal(4)
         x = np.tile(row, (1, 6, 1))
-        out, _, _ = pool(t64(x))
+        out, _, _ = pool(t64(x), all_real(x))
         # every window position sees the same input, so each q_l is that
         # window's single response and T0 = LN(mix(concat(q1, q2, q3)))
         q = []
@@ -219,7 +234,7 @@ class TestTextConvPool:
         pool = self.make()
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 7, 4))
-        _, phrase_seq, _ = pool(t64(x))
+        _, phrase_seq, _ = pool(t64(x), all_real(x))
         # naive per-window scan for window 2
         w, b = pool.conv_w2.data, pool.conv_b2.data
         expect = np.zeros((2, 6, 4))
@@ -237,7 +252,7 @@ class TestTextConvPool:
     def test_short_sequence_instructs_padding(self):
         pool = self.make()
         with pytest.raises(T.ShapeError, match="pad"):
-            pool(t64(np.zeros((1, 2, 4))))
+            pool(t64(np.zeros((1, 2, 4))), np.ones((1, 2), dtype=bool))
 
     def test_pad_windows_never_win_max(self):
         pool = self.make()
@@ -258,19 +273,6 @@ class TestTextConvPool:
 
 
 class TestCrossModalAttention:
-    def make(self, mode, d=4, seed=15):
-        return CrossModalAttention(d, 2, np.random.default_rng(seed),
-                                   mode=mode).astype(np.float64)
-
-    def test_pooled_mode_reduces_to_value_projection(self):
-        attn = self.make("pooled")
-        rng = np.random.default_rng(16)
-        t_pool = rng.standard_normal((3, 4))
-        i_pool = rng.standard_normal((3, 4))
-        out = attn(t64(t_pool), None, None, t64(i_pool), None)
-        expect = i_pool @ attn.v_image.weight.data + t_pool @ attn.v_text.weight.data
-        npt.assert_array_equal(out.data, expect)
-
     def test_sequence_mode_rows_sum_to_one(self):
         # weights that sum to one map a value row shared by every key to
         # itself; the key/value input carries the keys in its first four
@@ -356,9 +358,11 @@ class TestCrossModalAttention:
             assert a.dtype == np.float32 and np.array_equal(a, r)
 
     def test_width_mismatch_errors(self):
-        attn = self.make("pooled")
+        attn = CrossModalAttention(4, 2, np.random.default_rng(15)).astype(np.float64)
+        text_seq, image_seq = t64(np.zeros((2, 5, 4))), t64(np.zeros((2, 6, 4)))
         with pytest.raises(T.ShapeError):
-            attn(t64(np.zeros((2, 4))), None, None, t64(np.zeros((2, 6))), None)
+            attn(t64(np.zeros((2, 4))), text_seq, all_real(text_seq.data),
+                 t64(np.zeros((2, 6))), image_seq)
 
     def test_heads_must_divide_width(self):
         with pytest.raises(T.ShapeError):

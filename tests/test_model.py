@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmfusion import model as model_mod
 from mmfusion import tensor as T
 from mmfusion import train as train_mod
 from mmfusion.data import SyntheticSpec, generate, labels_of
@@ -127,6 +128,38 @@ class TestAssembly:
             assert len(problems) == 1 and "over the budget of 2**24" in problems[0], problems
             assert problems[0].startswith("data: token lists could hold")
 
+    @pytest.mark.parametrize("modality", ["multimodal", "image", "text"])
+    def test_encoders_at_their_size_caps_are_over_the_parameter_budget(self, modality):
+        # each size is in range; the model would hold about 1e11 parameters
+        caps = dict(d_model=4096, n_heads=256, n_layers=256, ffn_width=16384,
+                    embedding_dim=4096, share_layers=False, max_len=4096)
+        cfg = RunConfig(text_encoder=EncoderConfig(**caps),
+                        image_encoder=EncoderConfig(**caps), modality=modality)
+        tracemalloc.start()
+        try:
+            problems = cfg.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024       # the check builds no model
+        assert problems == [f"the model would hold {cfg.parameter_count():,} parameters, "
+                            f"over the budget of {2**26:,}"]
+        assert cfg.parameter_count() > 5 * 10**10
+
+    def test_parameter_budget_is_inclusive(self, monkeypatch):
+        cfg = tiny_cfg()
+        count = cfg.parameter_count()
+        monkeypatch.setattr(model_mod, "PARAMETER_BUDGET", count)
+        assert cfg.validate() == []
+        monkeypatch.setattr(model_mod, "PARAMETER_BUDGET", count - 1)
+        assert cfg.validate() == [f"the model would hold {count:,} parameters, over the "
+                                  f"budget of {count - 1:,}"]
+
+    def test_default_config_parameter_count(self):
+        cfg = RunConfig()
+        assert cfg.parameter_count() == 58_460
+        assert MultimodalClassifier(cfg, cfg.data.vocab_size).parameter_count() == 58_460
+
     def test_unimodal_models_only_build_their_side(self, tiny_dataset):
         img = MultimodalClassifier(tiny_cfg(modality="image"),
                                    vocab_size=len(tiny_dataset.vocab))
@@ -160,13 +193,6 @@ class TestAssembly:
             tb, ib = model.batches_for(batch, len(tiny_dataset.vocab))
             preds = model.forward_batch(tb, ib)
             assert preds["interaction"].probs.shape == (3, 3)
-
-    def test_pooled_mode_forward(self, tiny_dataset):
-        cfg = tiny_cfg(fusion=FusionSettings(mode="pooled"))
-        model = MultimodalClassifier(cfg, vocab_size=len(tiny_dataset.vocab))
-        batch = tiny_dataset.samples[:3]
-        tb, ib = model.batches_for(batch, len(tiny_dataset.vocab))
-        assert model.forward_batch(tb, ib)["interaction"].probs.shape == (3, 3)
 
 
 class TestDtype:
