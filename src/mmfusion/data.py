@@ -354,7 +354,7 @@ _RECORD_FIELDS = {"offset": is_int, "length": is_int, "label": is_int,
                   "tokens": lambda v: isinstance(v, list) and all(map(is_int, v))}
 
 
-def _record_problem(rec, spec, n_words):
+def _record_problem(rec, spec):
     """Why the model cannot consume a well-typed sample record, or None."""
     tokens = rec["tokens"]
     if not 0 <= rec["label"] < spec.n_classes:
@@ -363,8 +363,8 @@ def _record_problem(rec, spec, n_words):
         return f"split {rec['split']!r} is not one of {SPLITS}"
     if not 1 <= len(tokens) <= spec.sentence_len[1]:
         return f"{len(tokens)} tokens, not 1 to {spec.sentence_len[1]}"
-    if not all(0 <= t < n_words for t in tokens):
-        return f"token ids {tokens} not all in [0, {n_words})"
+    if not all(0 <= t < spec.vocab_size for t in tokens):
+        return f"token ids {tokens} not all in [0, {spec.vocab_size})"
     return None
 
 
@@ -376,15 +376,16 @@ def load_dataset(in_dir) -> Dataset:
     JSON object with the fields ``save_dataset`` writes, an ``images.bin``
     whose ``zlib.crc32`` is not the recorded ``images_crc32``, an embedded spec
     that ``fields.from_dict`` rejects or whose ``validate`` reports a
-    problem, an ``image_shape`` other than the spec's, a sample record
-    without an integer ``offset``/``length``/``label``, a token list or a
-    ``split`` string, a record the model cannot consume (a label outside
-    the spec's classes, a split not in ``SPLITS``, an empty token list or
-    one longer than ``sentence_len`` allows, a token id outside the
-    vocabulary), image bytes that do not fit the record, a pixel value
-    outside [0, 1] or not finite (the encoders read pixels in [0, 1]), or no
-    ``train`` or no ``test`` record (training would take no step, evaluation
-    would read nothing).
+    problem, a vocabulary whose length is not the spec's ``vocab_size`` (the
+    model's word embedding is sized from it), an ``image_shape`` other than
+    the spec's, a sample record without an integer
+    ``offset``/``length``/``label``, a token list or a ``split`` string, a
+    record the model cannot consume (a label outside the spec's classes, a
+    split not in ``SPLITS``, an empty token list or one longer than
+    ``sentence_len`` allows, a token id outside the vocabulary), image bytes
+    that do not fit the record, a pixel value outside [0, 1] or not finite
+    (the encoders read pixels in [0, 1]), or no ``train`` or no ``test``
+    record (training would take no step, evaluation would read nothing).
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -409,6 +410,10 @@ def load_dataset(in_dir) -> Dataset:
     problems = spec.validate()
     if problems:
         raise DatasetIOError(f"invalid spec in {in_dir}/dataset.json: {'; '.join(problems)}")
+    if len(doc["vocab"]) != spec.vocab_size:
+        raise DatasetIOError(
+            f"dataset.json at {in_dir} has {len(doc['vocab'])} vocabulary words, "
+            f"its spec's vocab_size is {spec.vocab_size}")
     shape = (spec.image_size, spec.image_size, spec.channels)
     if tuple(doc["image_shape"]) != shape:
         raise DatasetIOError(
@@ -421,7 +426,7 @@ def load_dataset(in_dir) -> Dataset:
             raise DatasetIOError(
                 f"corrupt sample record {i}: needs integer offset, length and label, "
                 f"a token list and a split name, got {rec!r}")
-        problem = _record_problem(rec, spec, len(doc["vocab"]))
+        problem = _record_problem(rec, spec)
         if problem:
             raise DatasetIOError(f"sample record {i} in {in_dir}: {problem}")
         start, length = rec["offset"], rec["length"]

@@ -506,8 +506,13 @@ def _project(x, w, b):
 
 
 def _project_backward(x, w, g, need_gx):
-    """(gx or None, gW) of ``_project`` for the upstream gradient ``g``."""
-    g_rows = g.reshape(-1, w.shape[1])
+    """(gx or None, gW) of ``_project`` for the upstream gradient ``g``.
+
+    ``g`` reaches BLAS contiguous. The primitive attention graph's merged
+    head gradient of a one-sample batch reshapes to a transposed view, and
+    BLAS sums a transposed operand's products in another order than the
+    contiguous one ``attention`` passes for the same values."""
+    g_rows = np.ascontiguousarray(g.reshape(-1, w.shape[1]))
     gx = (g_rows @ w.T).reshape(x.shape) if need_gx else None
     return gx, x.reshape(-1, w.shape[0]).T @ g_rows
 

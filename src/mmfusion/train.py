@@ -69,13 +69,13 @@ def train_epoch(model, samples, optimizer, vocab_size, shuffle_rng, dropout_rng)
             raise TrainingDiverged(optimizer.step_count + 1, str(exc)) from exc
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(optimizer.step_count + 1, breakdown.total)
-        model.zero_grad()
+        optimizer.zero_grad()
         backward(total)
         optimizer.step()
         sums += (breakdown.loss_text, breakdown.loss_interaction,
                  breakdown.loss_image, breakdown.total)
         n_batches += 1
-    model.zero_grad()
+    optimizer.zero_grad()
     mean = sums / max(n_batches, 1)
     return LossBreakdown(loss_text=mean[0], loss_interaction=mean[1],
                          loss_image=mean[2], gamma=model.cfg.decision.gamma,

@@ -578,6 +578,76 @@ class TestInputFuzz:
         assert code == 4 and "Traceback" not in err.getvalue(), err.getvalue()
 
 
+def _module_exit(argv):
+    """Exit code of ``python -m mmfusion`` run on ``argv``, which must print
+    no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "mmfusion", *argv],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode
+
+
+def _is_json(raw):
+    try:
+        json.loads(raw)
+    except ValueError:      # JSONDecodeError, UnicodeDecodeError
+        return False
+    return True
+
+
+class TestModuleFuzz:
+    """The fuzzers' mutations through ``python -m mmfusion``, one process per
+    example. A config that is not JSON exits 2. A checkpoint or dataset file
+    that is not JSON, or whose bytes a length or crc32 check covers, exits
+    4. Any other mutation exits cleanly, and no run prints a traceback."""
+
+    @settings(deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_config(self, data):
+        raw = _fuzz_json(json.dumps(TINY).encode(), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            code = _module_exit(["train", "--config", path, "--epochs", "0",
+                                 "--out", os.path.join(tmp, "run")])
+        assert code == 2 if not _is_json(raw) else code in (0, 2, 3, 4)
+
+    @settings(deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_checkpoint(self, trained_checkpoint, data):
+        config, good = trained_checkpoint
+        name, raw = _fuzz_checkpoint_file(lambda f: (good / f).read_bytes(), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "checkpoint")
+            shutil.copytree(good, bad)
+            with open(os.path.join(bad, name), "wb") as fh:
+                fh.write(raw)
+            code = _module_exit(["eval", "--config", config, "--checkpoint", bad,
+                                 "--out", os.path.join(tmp, "eval")])
+        assert code == 4 if name == "weights.bin" or not _is_json(raw) else code in (0, 4)
+
+    @settings(deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_dataset(self, saved_dataset, data):
+        config, good = saved_dataset
+        name = data.draw(st.sampled_from(["dataset.json", "images.bin"]), label="file")
+        raw = (good / name).read_bytes()
+        if name == "dataset.json":
+            raw = _fuzz_json(raw, data)
+        else:
+            kind = data.draw(st.sampled_from(["truncate", "flip"]), label="kind")
+            raw = _truncate_or_flip(raw, kind, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "ds")
+            shutil.copytree(good, bad)
+            with open(os.path.join(bad, name), "wb") as fh:
+                fh.write(raw)
+            code = _module_exit(["train", "--config", config, "--data", bad,
+                                 "--epochs", "0", "--out", os.path.join(tmp, "run")])
+        assert code == 4 if name == "images.bin" or not _is_json(raw) else code in (0, 2, 3, 4)
+
+
 def _truncate_to_spec(doc):
     return '{"spec": '
 
@@ -614,6 +684,11 @@ def _token_outside_vocab(doc):
     return json.dumps(doc)
 
 
+def _extra_vocabulary(doc):
+    doc["vocab"].update({f"extra{i}": len(doc["vocab"]) + i for i in range(5000)})
+    return json.dumps(doc)
+
+
 def _relabel_split(old, new):
     def mutate(doc):
         for rec in doc["samples"]:
@@ -628,12 +703,12 @@ class TestCorruptDataset:
         _truncate_to_spec, _drop_first_offset, _unknown_spec_field, _invalid_spec,
         _image_shape_not_the_spec_s, _first_record(label=3), _first_record(label=-1),
         _first_record(split="holdout"), _first_record(tokens=[]),
-        _first_record(tokens=[2] * 6), _token_outside_vocab,
+        _first_record(tokens=[2] * 6), _token_outside_vocab, _extra_vocabulary,
         _relabel_split("test", "train"), _relabel_split("train", "val"),
     ], ids=["truncated", "record_without_offset", "bad_spec", "invalid_spec",
             "image_shape_mismatch", "label_too_large", "negative_label",
             "unknown_split", "no_tokens", "too_many_tokens", "token_outside_vocab",
-            "no_test_records", "no_train_records"])
+            "vocabulary_not_the_spec_s", "no_test_records", "no_train_records"])
     def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
         data_dir = tmp_path / "ds"
         assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
@@ -645,6 +720,7 @@ class TestCorruptDataset:
             capture_output=True, text=True)
         assert proc.returncode == 4, proc.stderr
         assert "i/o error" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_flipped_byte_exits_4(self, tiny_config, tmp_path, capsys):
         # the lowest mantissa bit of the first pixel: a finite, same-size

@@ -128,6 +128,22 @@ class TestSerialization:
         with pytest.raises(DatasetIOError, match="images_crc32"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("change", [-1, 5000])
+    def test_vocabulary_not_the_spec_size_is_rejected(self, tmp_path, change):
+        # the model's word embedding is sized from the vocabulary, the
+        # parameter budget from the spec's vocab_size
+        import json
+        save_dataset(generate(tiny_spec()), tmp_path)
+        doc = json.loads((tmp_path / "dataset.json").read_text())
+        vocab = doc["vocab"]
+        if change < 0:
+            vocab.popitem()
+        else:
+            vocab.update({f"extra{i}": len(vocab) + i for i in range(change)})
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetIOError, match="vocab_size is 16"):
+            load_dataset(tmp_path)
+
     def test_manifest_count_matches_binary(self, tmp_path):
         ds = generate(tiny_spec())
         save_dataset(ds, tmp_path)

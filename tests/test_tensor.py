@@ -912,6 +912,19 @@ class TestFusedAttention:
             for a, r in zip(grads_of(fused, leaves, readout), grads_of(ref, leaves, readout)):
                 assert a.dtype == dtype and np.array_equal(a, r)
 
+    @settings(deadline=None, max_examples=100)
+    @given(h=st.integers(1, 4), dh=st.integers(1, 16), B=st.sampled_from([1, 2]),
+           Lq=st.integers(1, 8), Lk=st.integers(2, 8),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_small_batches_equal_primitive_graph(self, h, dh, B, Lq, Lk, dtype, seed):
+        # one sample with heads wider than 8 once gave xkv another gradient
+        rng = np.random.default_rng(seed)
+        xq, xkv, params = attention_leaves(rng, B, Lq, Lk, 3, 5, h * dh, dtype)
+        readout = rng.standard_normal((B, Lq, h * dh)).astype(dtype)
+        assert_same_graph(lambda: T.attention(xq, xkv, h, *params),
+                          lambda: projected_composite(xq, xkv, h, *params),
+                          present(xq, xkv, *params), readout)
+
     def test_masked_keys_get_zero_weight(self):
         # a zero weight shows as an output blind to the key's input row and
         # as a zero gradient on it
