@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .fields import bounded, field_problems
 from .layers import Linear, TransformerBlock, trunc_normal
-from .tensor import Module, ModuleList, Tensor
+from .tensor import Module, ModuleList, Tensor, masked_mean
 
 PAD_ID = 0
 UNK_ID = 1
@@ -151,25 +151,6 @@ class TextEncoder(Module):
         context = self.stack(hidden, key_mask=batch.pad_mask)
         pooled = masked_mean(context, batch.pad_mask)
         return EncoderOutput(context=context, pooled=pooled)
-
-
-def masked_mean(context: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """Mean of [B, L, d] over positions where pad_mask is True, as one graph
-    node."""
-    if context.data.ndim != 3:
-        raise T.ShapeError(f"masked_mean: expects [B, L, d], got {context.shape}")
-    counts = pad_mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise T.ShapeError("masked_mean: a row has no real tokens")
-    dtype = context.data.dtype
-    keep = pad_mask[:, :, None].astype(dtype)                   # [B, L, 1]
-    inv = (1.0 / counts)[:, None].astype(dtype)                 # [B, 1]
-    out = (context.data * keep).sum(axis=1) * inv               # [B, d]
-
-    def backward_fn(g):
-        return ((g * inv)[:, None, :] * keep,)
-
-    return T._result(out, (context,), backward_fn)
 
 
 class ImageEncoder(Module):

@@ -1,11 +1,12 @@
 """Regularized feature channels and the attention fusion paths.
 
 Each modality's global embedding runs through two parallel channels, an
-inverted-dropout channel and an elastic-net proximal channel, whose outputs
-are concatenated and mixed by a linear+ReLU head (O_T, O_I). The context
-sequences feed the hybrid attention path producing the interaction feature
-O_H: per-modality intra-modal modeling first (a transformer block for image
-regions, multi-window 1-D convolutions for text), then bidirectional
+inverted-dropout channel and an elastic-net proximal channel (the engine's
+``tensor.elastic_net_channel`` node), whose outputs are concatenated and
+mixed by a linear+ReLU head (O_T, O_I). The context sequences feed the
+hybrid attention path producing the interaction feature O_H: per-modality
+intra-modal modeling first (a transformer block for image regions,
+multi-window 1-D convolutions for text), then bidirectional
 cross-attention in which the pooled vector of one modality queries the whole
 pre-pooled sequence of the other (over a single key, softmax is forced to one).
 
@@ -22,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .encoders import masked_mean
 from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
-from .tensor import Module, Tensor, dropout_mask, _result
+from .tensor import Module, Tensor, dropout_mask, elastic_net_channel, masked_mean
 
 TOPOLOGIES = ("hybrid", "merged", "interaction")
 
@@ -43,26 +43,6 @@ def dropout_channel(x: Tensor, p: float, mode: str = "training",
         raise ValueError("dropout_channel: training mode needs an rng")
     mask = dropout_mask(x.shape, p, rng).astype(x.data.dtype)
     return T.mul(x, Tensor(mask / p))
-
-
-def elastic_net_channel(x: Tensor, alpha: float, beta: float) -> Tensor:
-    """Closed-form minimizer of ||x' - x||^2 + alpha*||x'||_1 + beta*||x'||_2^2,
-    applied elementwise: soft-threshold at alpha/2, then shrink by 1/(1+beta).
-
-    Differentiable almost everywhere; the subgradient at the threshold kink
-    is taken as zero.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"elastic_net_channel: coefficients must be >= 0, "
-                         f"got alpha={alpha}, beta={beta}")
-    thresh = alpha / 2.0
-    active = np.abs(x.data) > thresh
-    out = np.sign(x.data) * np.maximum(np.abs(x.data) - thresh, 0.0) / (1.0 + beta)
-
-    def backward_fn(g):
-        return (g * active / (1.0 + beta),)
-
-    return _result(out.astype(x.data.dtype), (x,), backward_fn)
 
 
 class UnimodalFusionHead(Module):

@@ -29,6 +29,11 @@ Conventions kept deliberately narrow so the gradient code stays auditable:
 * gradients accumulate on leaves across ``backward`` calls over fresh
   graphs -- callers zero them.
 
+Every backward closure lives in this module: the model's hand-written
+``masked_mean`` (a [B, L, d] mean over the real positions) and
+``elastic_net_channel`` (the fusion channel's elastic-net proximal map) are
+built here, and ``softmax`` and ``attention`` share ``_softmax_backward``.
+
 ``linear``, ``ffn`` and ``attention`` are fused composites with hand-written
 backward passes; each computes exactly the arithmetic of the primitive ops
 it stands for (reshape/matmul/add; two such maps with a relu between; and
@@ -354,6 +359,26 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
     return _result(np.maximum(x.data, floor), (x,), backward_fn)
 
 
+def elastic_net_channel(x: Tensor, alpha: float, beta: float) -> Tensor:
+    """Closed-form minimizer of ||x' - x||^2 + alpha*||x'||_1 + beta*||x'||_2^2,
+    applied elementwise: soft-threshold at alpha/2, then shrink by 1/(1+beta).
+
+    Differentiable almost everywhere; the subgradient at the threshold kink
+    is taken as zero.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError(f"elastic_net_channel: coefficients must be >= 0, "
+                         f"got alpha={alpha}, beta={beta}")
+    thresh = alpha / 2.0
+    active = np.abs(x.data) > thresh
+    out = np.sign(x.data) * np.maximum(np.abs(x.data) - thresh, 0.0) / (1.0 + beta)
+
+    def backward_fn(g):
+        return (g * active / (1.0 + beta),)
+
+    return _result(out.astype(x.data.dtype), (x,), backward_fn)
+
+
 # ---------------------------------------------------------------------------
 # normalizers
 # ---------------------------------------------------------------------------
@@ -389,8 +414,13 @@ def _softmax_recompute(x, top, total):
     return x
 
 
-def _softmax_backward(y, g, axis):
-    return y * (g - _row_sum(g * y, axis))
+def _softmax_backward(y, g, axis, out=None):
+    """The input gradient (g - sum(g * y)) * y of a softmax with output ``y``
+    along a non-negative ``axis`` and upstream gradient ``g``, built in
+    ``out`` (``g`` itself for a caller that owns it) or a new buffer."""
+    out = np.subtract(g, _row_sum(g * y, axis), out=out)
+    out *= y
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -707,10 +737,8 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
                 # splits to a copy, and a one-wide head's products then sum
                 # in another order
                 gt = np.ascontiguousarray(gt)
-            # the softmax gradient y * (gs - dot) * scale, built in place
             gs = gt @ vh[rows].transpose(0, 2, 1)
-            gs -= _row_sum(gs * y)
-            gs *= y
+            _softmax_backward(y, gs, 2, out=gs)
             gs *= scale
             _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
             _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)
@@ -803,6 +831,25 @@ def mean_pool(x: Tensor, axis: int) -> Tensor:
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return _result(x.data.mean(axis=axis), (x,), backward_fn)
+
+
+def masked_mean(context: Tensor, pad_mask: np.ndarray) -> Tensor:
+    """Mean of [B, L, d] over positions where pad_mask is True, as one graph
+    node."""
+    if context.data.ndim != 3:
+        raise ShapeError(f"masked_mean: expects [B, L, d], got {context.shape}")
+    counts = pad_mask.sum(axis=1)
+    if np.any(counts == 0):
+        raise ShapeError("masked_mean: a row has no real tokens")
+    dtype = context.data.dtype
+    keep = pad_mask[:, :, None].astype(dtype)                   # [B, L, 1]
+    inv = (1.0 / counts)[:, None].astype(dtype)                 # [B, 1]
+    out = (context.data * keep).sum(axis=1) * inv               # [B, d]
+
+    def backward_fn(g):
+        return ((g * inv)[:, None, :] * keep,)
+
+    return _result(out, (context,), backward_fn)
 
 
 def max_pool(x: Tensor, axis: int) -> Tensor:
@@ -948,7 +995,7 @@ def _released(g):
     raise GraphError("backward: this graph was already differentiated")
 
 
-def backward(loss: Tensor, grad=None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable leaf: a
     tensor with ``requires_grad=True`` that no op produced (parameters and
     inputs).
@@ -983,8 +1030,7 @@ def backward(loss: Tensor, grad=None) -> None:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
-    seed = np.ones_like(loss.data) if grad is None else np.asarray(grad, dtype=loss.data.dtype)
-    flowing = {id(root): seed}
+    flowing = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = flowing.pop(id(node), None)
         if g is None:
@@ -1031,12 +1077,7 @@ class Module:
             yield p
 
     def parameter_count(self) -> int:
-        seen, total = set(), 0
-        for _, p in self.named_parameters():
-            if id(p) not in seen:
-                seen.add(id(p))
-                total += p.size
-        return total
+        return sum(p.size for p in self.parameters())
 
     def zero_grad(self):
         for p in self.parameters():
@@ -1065,9 +1106,3 @@ class ModuleList(Module):
 
     def __iter__(self):
         return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mmfusion.cli import main
 from mmfusion.model import RunConfig
 from test_fields import leaves
+from test_notebooks import package_env
 
 TINY = {
     "text_encoder": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_width": 32,
@@ -406,7 +407,7 @@ class TestCorruptCheckpoint:
         proc = subprocess.run(
             [sys.executable, "-m", "mmfusion", "eval", "--config", config,
              "--checkpoint", str(bad), "--out", str(tmp_path / "eval")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical abort:"), proc.stderr
@@ -582,7 +583,7 @@ def _module_exit(argv):
     """Exit code of ``python -m mmfusion`` run on ``argv``, which must print
     no traceback."""
     proc = subprocess.run([sys.executable, "-m", "mmfusion", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode
 
@@ -717,7 +718,7 @@ class TestCorruptDataset:
         proc = subprocess.run(
             [sys.executable, "-m", "mmfusion", "train", "--config", tiny_config,
              "--data", str(data_dir), "--out", str(tmp_path / "run")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 4, proc.stderr
         assert "i/o error" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "run").exists()
@@ -749,7 +750,7 @@ class TestCorruptDataset:
         proc = subprocess.run(
             [sys.executable, "-m", "mmfusion", "train", "--config", tiny_config,
              "--data", str(data_dir), "--out", str(tmp_path / "run")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 4, proc.stderr
         assert "outside [0, 1] or not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -871,6 +872,6 @@ def test_module_invocation_round_trip(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mmfusion", "train", "--config", str(cfg),
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "loss_history.csv").exists()

@@ -17,16 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 NOTEBOOKS = sorted(p.name for p in (ROOT / "notebooks").glob("0[1-5]_*.py"))
 
 
+def package_env():
+    """The environment of a child process that imports the package from
+    this checkout: ``src`` ahead of any ``PYTHONPATH`` already set."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_all_five_found():
     assert len(NOTEBOOKS) == 5
 
 
 @pytest.mark.parametrize("name", NOTEBOOKS)
 def test_notebook_runs(name, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(ROOT / "notebooks" / name)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -1,8 +1,9 @@
-import os
+import ast
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmfusion import encoders, fusion, model
 from mmfusion import tensor as T
 from mmfusion.gradcheck import finite_diff_check
 from mmfusion.tensor import Tensor, backward
 from test_model import closure_values, vertices_below
+from test_notebooks import package_env
 
 
 def t64(data, requires_grad=False):
@@ -273,8 +276,6 @@ class TestLayerNorm:
 # sums as BLAS products
 # ---------------------------------------------------------------------------
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
 # digests of both helpers on one 100000 x 16 float32 input
 BLAS_SUMS_SCRIPT = """
 import hashlib
@@ -348,8 +349,7 @@ class TestBlasSums:
     def test_sums_do_not_depend_on_the_blas_thread_count(self):
         runs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            env = dict(package_env(), OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", BLAS_SUMS_SCRIPT], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -1200,3 +1200,27 @@ class TestNoGrad:
             with T.no_grad():
                 raise RuntimeError("boom")
         assert T.scale(x, 2.0).requires_grad
+
+
+class TestEngineOwnsEveryVertex:
+    """Only ``tensor.py`` builds graph vertices: every hand-written backward
+    closure lives there, and the modules that use the engine's hand-written
+    nodes import them from it."""
+
+    def test_no_other_module_builds_a_vertex(self):
+        package = Path(T.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "tensor.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                         ast.FunctionDef: "name"}.get(type(node))
+                if named and getattr(node, named) in ("_result", "backward_fn"):
+                    offenders.append((path.name, getattr(node, "lineno", None)))
+        assert offenders == []
+
+    def test_modules_reexport_the_engine_nodes(self):
+        assert encoders.masked_mean is T.masked_mean
+        assert fusion.elastic_net_channel is T.elastic_net_channel
+        assert model.elastic_net_channel is T.elastic_net_channel
