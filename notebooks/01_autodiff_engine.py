@@ -27,8 +27,9 @@ backward(loss)
 print("loss:", loss.item())
 print("grad magnitude:", np.abs(w.grad).max(), "(softmax rows sum to 1, so ~0)")
 
-# 3. The same machinery verified against finite differences.
-w.zero_grad()
+# 3. The same machinery verified against finite differences. Leaves are
+#    zeroed by dropping their gradient.
+w.grad = None
 probe = Tensor(rng.standard_normal((3, 2)))
 err = finite_diff_check(lambda v: T.tsum(T.mul(T.matmul(v, x), probe)), w)
 print("matmul max relative gradient error vs central differences:", err)
@@ -57,7 +58,7 @@ print("after decay-only step:", p.data, "(pure contraction toward zero)")
 p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
 opt = AdamW([{"params": [("p", p)], "lr": 0.1}], weight_decay=0.0)
 for step in range(30):
-    p.zero_grad()
+    opt.zero_grad()
     backward(T.tsum(T.mul(p, p)))
     opt.step()
 print("w after 30 AdamW steps on w^2:", p.data)

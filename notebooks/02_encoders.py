@@ -15,12 +15,12 @@ from mmfusion.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# 1. Patchify is a pure rearrangement: patch k is the k-th tile of the grid,
-#    row-major, flattened as (row, col, channel).
+# 1. Patchify is a pure rearrangement of a [B, H, W, C] batch: patch k is the
+#    k-th tile of the grid, row-major, flattened as (row, col, channel).
 img = rng.random((8, 8, 1))
-patches = patchify(Tensor(img), 4)
-print("patch matrix:", patches.shape, "| patch 1 is the top-right tile:",
-      np.array_equal(patches.data[1], img[0:4, 4:8, :].reshape(-1)))
+patches = patchify(Tensor(img[None]), 4)
+print("patch batch:", patches.shape, "| patch 1 is the top-right tile:",
+      np.array_equal(patches.data[0, 1], img[0:4, 4:8, :].reshape(-1)))
 
 # 2. Cross-layer sharing keeps the stack's parameter count flat in depth.
 cfg2 = EncoderConfig(d_model=32, n_heads=2, n_layers=2, ffn_width=64,

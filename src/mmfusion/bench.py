@@ -10,32 +10,9 @@ import time
 
 import numpy as np
 
-from .fusion import TOPOLOGIES, build_interaction_path
+# topology_parameter_count is re-exported for the callers that compare topologies
+from .fusion import TOPOLOGIES, build_interaction_path, topology_parameter_count  # noqa: F401
 from .tensor import Tensor
-
-
-def topology_parameter_count(topology, d, ffn_width):
-    """Closed-form trainable parameter counts.
-
-    A transformer block holds 4 d^2 + 3d attention weights (key projection is
-    bias-free), 4d of layer-norm affines, and 2*d*ffn + ffn + d feed-forward
-    weights. The one bidirectional cross-attention, shared by the hybrid and
-    interaction topologies, holds six bias-free d x d projections. Merged is
-    a block; interaction is the cross-attention plus a block; hybrid is the
-    image self-attention pool (a block plus a norm), the text conv stack
-    (windows 1..3, mixer, norm) and the cross-attention.
-    """
-    block = 4 * d * d + 3 * d + 4 * d + 2 * d * ffn_width + ffn_width + d
-    cross = 6 * d * d
-    if topology == "merged":
-        return block
-    if topology == "interaction":
-        return cross + block
-    if topology == "hybrid":
-        self_pool = block + 2 * d
-        text_conv = 6 * d * d + 3 * d + (3 * d * d + d) + 2 * d
-        return self_pool + text_conv + cross
-    raise ValueError(f"unknown topology {topology!r}")
 
 
 def bench_attention(d=32, n_heads=2, ffn_width=64, batch=8, text_len=8,

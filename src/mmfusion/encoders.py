@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .fields import bounded, field_problems
 from .layers import Linear, TransformerBlock, trunc_normal
-from .tensor import Module, ModuleList, Tensor, masked_mean
+from .tensor import Module, Tensor, masked_mean
 
 PAD_ID = 0
 UNK_ID = 1
@@ -72,26 +72,21 @@ class ImageBatch:
 
 
 def patchify(x: Tensor, patch: int) -> Tensor:
-    """Split [H,W,C] (or [B,H,W,C]) into flattened non-overlapping patches.
+    """Split [B,H,W,C] into [B, N, patch*patch*C] flattened non-overlapping
+    patches.
 
     Patches are ordered row-major over the patch grid; within a patch the
     layout is (row, col, channel).
     """
-    batched = x.data.ndim == 4
-    if x.data.ndim not in (3, 4):
-        raise T.ShapeError(f"patchify: expects [H,W,C] or [B,H,W,C], got {x.shape}")
-    H, W, C = x.shape[-3:]
+    if x.data.ndim != 4:
+        raise T.ShapeError(f"patchify: expects [B, H, W, C], got {x.shape}")
+    B, H, W, C = x.shape
     if H % patch or W % patch:
         raise T.ShapeError(f"patchify: patch size {patch} does not divide {H}x{W}")
     hp, wp = H // patch, W // patch
-    if batched:
-        B = x.shape[0]
-        x = T.reshape(x, (B, hp, patch, wp, patch, C))
-        x = T.transpose(x, (0, 1, 3, 2, 4, 5))
-        return T.reshape(x, (B, hp * wp, patch * patch * C))
-    x = T.reshape(x, (hp, patch, wp, patch, C))
-    x = T.transpose(x, (0, 2, 1, 3, 4))
-    return T.reshape(x, (hp * wp, patch * patch * C))
+    x = T.reshape(x, (B, hp, patch, wp, patch, C))
+    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
+    return T.reshape(x, (B, hp * wp, patch * patch * C))
 
 
 ENCODER_INIT_STD = 0.02
@@ -108,18 +103,13 @@ class _BlockStack(Module):
             self.block = TransformerBlock(cfg.d_model, cfg.n_heads, cfg.ffn_width,
                                           rng, std=ENCODER_INIT_STD)
         else:
-            self.blocks = ModuleList(
-                TransformerBlock(cfg.d_model, cfg.n_heads, cfg.ffn_width, rng,
-                                 std=ENCODER_INIT_STD)
-                for _ in range(cfg.n_layers))
+            self.blocks = [TransformerBlock(cfg.d_model, cfg.n_heads, cfg.ffn_width, rng,
+                                            std=ENCODER_INIT_STD)
+                           for _ in range(cfg.n_layers)]
 
     def __call__(self, x, key_mask=None):
-        if self.share_layers:
-            for _ in range(self.n_layers):
-                x = self.block(x, key_mask)
-            return x
-        for block in self.blocks:
-            x = block(x, key_mask)
+        for i in range(self.n_layers):
+            x = (self.block if self.share_layers else self.blocks[i])(x, key_mask)
         return x
 
 

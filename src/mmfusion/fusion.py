@@ -15,7 +15,8 @@ attention (concatenate sequences, then self-attention) and an interaction
 encoder (cross-attention first, then self-attention). The hybrid and
 interaction topologies share one bidirectional cross-attention module,
 ``CrossModalAttention``; the merged and interaction topologies share one
-merged self-attention tail.
+merged self-attention tail. ``topology_parameter_count`` is each topology's
+closed-form parameter count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
-from .tensor import Module, Tensor, dropout_mask, elastic_net_channel, masked_mean
+from .tensor import Module, Tensor, elastic_net_channel, masked_mean
 
 TOPOLOGIES = ("hybrid", "merged", "interaction")
 
@@ -41,7 +42,7 @@ def dropout_channel(x: Tensor, p: float, mode: str = "training",
         raise ValueError(f"dropout_channel: unknown mode {mode!r}")
     if rng is None:
         raise ValueError("dropout_channel: training mode needs an rng")
-    mask = dropout_mask(x.shape, p, rng).astype(x.data.dtype)
+    mask = (rng.random(x.shape) < p).astype(x.data.dtype)     # Bernoulli keep mask
     return T.mul(x, Tensor(mask / p))
 
 
@@ -272,3 +273,27 @@ def build_interaction_path(topology, d, n_heads, ffn_width, rng):
     if topology == "interaction":
         return InteractionEncoderFusion(d, n_heads, ffn_width, rng)
     raise ValueError(f"unknown attention topology {topology!r}")
+
+
+def topology_parameter_count(topology, d, ffn_width):
+    """Closed-form trainable parameter counts.
+
+    A transformer block holds 4 d^2 + 3d attention weights (key projection is
+    bias-free), 4d of layer-norm affines, and 2*d*ffn + ffn + d feed-forward
+    weights. The one bidirectional cross-attention, shared by the hybrid and
+    interaction topologies, holds six bias-free d x d projections. Merged is
+    a block; interaction is the cross-attention plus a block; hybrid is the
+    image self-attention pool (a block plus a norm), the text conv stack
+    (windows 1..3, mixer, norm) and the cross-attention.
+    """
+    block = 4 * d * d + 3 * d + 4 * d + 2 * d * ffn_width + ffn_width + d
+    cross = 6 * d * d
+    if topology == "merged":
+        return block
+    if topology == "interaction":
+        return cross + block
+    if topology == "hybrid":
+        self_pool = block + 2 * d
+        text_conv = 6 * d * d + 3 * d + (3 * d * d + d) + 2 * d
+        return self_pool + text_conv + cross
+    raise ValueError(f"unknown topology {topology!r}")

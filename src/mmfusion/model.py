@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .bench import topology_parameter_count
 from .data import MIN_TEXT_WIDTH, SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
@@ -24,7 +23,7 @@ from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .fields import ConfigError, bounded, field_problems, from_dict
 from .fusion import (TOPOLOGIES, ConcatLinearFusion,
                      UnimodalFusionHead, build_interaction_path, dropout_channel,
-                     elastic_net_channel)
+                     elastic_net_channel, topology_parameter_count)
 from .tensor import Module
 
 MODALITIES = ("multimodal", "image", "text")

@@ -116,16 +116,12 @@ class AdamW:
 def param_groups(named_params, rates, default_lr):
     """Split (name, tensor) pairs into AdamW groups by name prefix.
 
-    ``rates`` maps a prefix to a learning rate; the longest matching prefix
-    wins, unmatched parameters use ``default_lr``.
+    ``rates`` maps a prefix to a learning rate; the first prefix a name
+    starts with gives its rate, unmatched parameters use ``default_lr``.
     """
     buckets = {}
     for name, p in named_params:
-        lr = default_lr
-        best = -1
-        for prefix, rate in rates.items():
-            if name.startswith(prefix) and len(prefix) > best:
-                best = len(prefix)
-                lr = rate
+        lr = next((rate for prefix, rate in rates.items() if name.startswith(prefix)),
+                  default_lr)
         buckets.setdefault(lr, []).append((name, p))
     return [{"params": ps, "lr": lr} for lr, ps in buckets.items()]

@@ -151,9 +151,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
@@ -771,43 +768,40 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, window: int) -> Tensor:
     """1-D convolution over positions with ReLU fused in.
 
-    ``x`` is [n, d_in] or [B, n, d_in]; ``weight`` is [window*d_in, d_out];
-    position t sees the flattened slice x[t:t+window]. Output length n-window+1.
+    ``x`` is [B, n, d_in]; ``weight`` is [window*d_in, d_out]; position t sees
+    the flattened slice x[:, t:t+window]. Output length n-window+1. The
+    window products are ``_project``'s arithmetic, forward and back.
     """
     if window not in (1, 2, 3):
         raise ValueError(f"conv1d: window must be 1, 2 or 3, got {window}")
     _check_same_dtype("conv1d", x, weight, bias)
-    squeeze = x.data.ndim == 2
-    data = x.data[None] if squeeze else x.data
-    if data.ndim != 3:
-        raise ShapeError(f"conv1d: expects [n,d] or [B,n,d], got {x.shape}")
-    B, n, d_in = data.shape
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv1d: expects [B, n, d_in], got {x.shape}")
+    shape, dtype = x.shape, x.data.dtype
+    n, d_in = shape[1:]
     if n < window:
         raise ShapeError(
             f"conv1d: sequence length {n} shorter than window {window}; pad the input first")
     if weight.shape[0] != window * d_in:
         raise ShapeError(
             f"conv1d: weight rows {weight.shape[0]} != window*d_in = {window * d_in}")
-    d_out = weight.shape[1]
     steps = n - window + 1
     # windows[b, t] = concat(x[b, t], ..., x[b, t+window-1])
-    windows = np.concatenate([data[:, j:j + steps, :] for j in range(window)], axis=2)
-    wd, dtype = weight.data, data.dtype
-    pre = windows.reshape(B * steps, window * d_in) @ wd + bias.data
-    mask = pre > 0
-    out = np.maximum(pre, 0).reshape(B, steps, d_out)
+    windows = np.concatenate([x.data[:, j:j + steps, :] for j in range(window)], axis=2)
+    wd = weight.data
+    out = _project(windows, wd, bias.data)
+    mask = out > 0
+    np.maximum(out, 0, out=out)
 
     def backward_fn(g):
-        gp = g.reshape(B * steps, d_out) * mask
-        gw = windows.reshape(B * steps, window * d_in).T @ gp
-        gb = _lead_sum(gp, 1)
-        gwin = (gp @ wd.T).reshape(B, steps, window * d_in)
-        gx = np.zeros((B, n, d_in), dtype)
+        gp = g * mask
+        gwin, gw = _project_backward(windows, wd, gp, True)
+        gx = np.zeros(shape, dtype)
         for j in range(window):
             gx[:, j:j + steps, :] += gwin[:, :, j * d_in:(j + 1) * d_in]
-        return gx[0] if squeeze else gx, gw, gb
+        return gx, gw, _lead_sum(gp, 1)
 
-    return _result(out[0] if squeeze else out, (x, weight, bias), backward_fn)
+    return _result(out, (x, weight, bias), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -980,13 +974,6 @@ def pick(x: Tensor, idx) -> Tensor:
     return _result(x.data[rows, idx], (x,), backward_fn)
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli keep mask: 1 with probability ``p``. Scaling is the caller's job."""
-    if not 0 < p <= 1:
-        raise ValueError(f"dropout_mask: keep probability must be in (0, 1], got {p}")
-    return (rng.random(shape) < p).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -1053,7 +1040,9 @@ def backward(loss: Tensor) -> None:
 
 class Module:
     """Minimal parameter registry: tensors and submodules assigned as
-    attributes are tracked in insertion order, which fixes checkpoint layout."""
+    attributes are tracked in insertion order, which fixes checkpoint layout.
+    A non-empty list of modules assigned as ``name`` registers its items as
+    ``name.0``, ``name.1``, ...; items appended later are not registered."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -1064,6 +1053,9 @@ class Module:
             self._params[name] = value
         elif isinstance(value, Module):
             self._modules[name] = value
+        elif isinstance(value, list) and value and all(isinstance(m, Module) for m in value):
+            for i, m in enumerate(value):
+                self._modules[f"{name}.{i}"] = m
         object.__setattr__(self, name, value)
 
     def named_parameters(self, prefix=""):
@@ -1091,18 +1083,3 @@ class Module:
         for p in self.parameters():
             p.data = p.data.astype(dtype)
         return self
-
-
-class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        self._items = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, module):
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
-
-    def __iter__(self):
-        return iter(self._items)

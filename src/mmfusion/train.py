@@ -53,8 +53,7 @@ def build_optimizer(model):
 
 
 def train_epoch(model, samples, optimizer, vocab_size, shuffle_rng, dropout_rng):
-    """One pass over shuffled data; returns the mean LossBreakdown and the
-    global step counter reached."""
+    """One pass over shuffled data; returns the mean LossBreakdown."""
     order = shuffle_rng.permutation(len(samples))
     batch_size = model.cfg.trainer.batch_size
     sums = np.zeros(4)

@@ -1,9 +1,33 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import mmfusion.bench as bench
 from mmfusion.bench import bench_attention, topology_parameter_count
 from mmfusion.fusion import build_interaction_path
+from test_notebooks import package_env
+
+HOME_SCRIPT = """
+import sys
+import mmfusion.model
+print("mmfusion.bench" in sys.modules)
+import mmfusion.bench, mmfusion.fusion
+print(mmfusion.bench.topology_parameter_count is mmfusion.fusion.topology_parameter_count)
+"""
+
+
+class TestCountLivesWithTheTopologies:
+    """The closed-form count lives in ``fusion`` beside the topologies it
+    counts, so the model's config validation does not load the timing module;
+    ``bench`` re-exports it for the callers that compare topologies."""
+
+    def test_model_import_leaves_bench_unloaded(self):
+        proc = subprocess.run([sys.executable, "-c", HOME_SCRIPT], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 def test_parameter_count_formulas_track_built_modules():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from mmfusion.checkpoint import CheckpointError, load_checkpoint, load_into, save_checkpoint
+from mmfusion.fusion import TOPOLOGIES
+from mmfusion.model import MODALITIES, FusionSettings, MultimodalClassifier, RunConfig
 from mmfusion.tensor import Module, Tensor
 
 
@@ -136,3 +139,29 @@ def test_load_into_rejects_unexpected_keys(tmp_path):
     with pytest.raises(CheckpointError, match="'vote.vote_logits'"):
         load_into(target, tmp_path)
     assert np.array_equal(target.w.data, before)
+
+
+# SHA-256 of "name shape" lines over named_parameters() of the model built
+# with RunConfig()'s encoders (shared text layers, unshared image layers).
+# A change here renames or reorders checkpoint entries, so saved checkpoints
+# no longer load.
+LAYOUT_DIGESTS = {
+    "multimodal": {
+        "hybrid": "98b9eadd2cac6420c944ad2ced2a63ff3bf39f878079bbc435f356fbd2c9442e",
+        "merged": "55c0fe2f5421dd8b5e4f5fd244bb97b7c43c2e67c59548d86acff1f366ea8cb9",
+        "interaction": "54cbeb5e44c876c58579e5ef903a77d386d26698d3968a92dd147715bc9903d4",
+    },
+    "image": dict.fromkeys(
+        TOPOLOGIES, "2bf2b8a83827c6d77910221b25e45f607fa8cc20630652a9ae12004ae22e571a"),
+    "text": dict.fromkeys(
+        TOPOLOGIES, "bba81ff7e6f2f5dfe44ba2b6bed0e27360f6147cec5b7a2441afcbfff05bcaf6"),
+}
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_model_parameter_layout_is_pinned(modality, topology):
+    cfg = RunConfig(modality=modality, fusion=FusionSettings(topology=topology))
+    model = MultimodalClassifier(cfg, vocab_size=cfg.data.vocab_size)
+    layout = "\n".join(f"{name} {p.shape}" for name, p in model.named_parameters())
+    assert hashlib.sha256(layout.encode()).hexdigest() == LAYOUT_DIGESTS[modality][topology]

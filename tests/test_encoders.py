@@ -19,14 +19,14 @@ def tiny_cfg(**kw):
 class TestPatchify:
     def test_whole_image_single_patch(self):
         img = np.random.default_rng(0).random((4, 4, 1))
-        out = patchify(Tensor(img), 4)
-        assert out.shape == (1, 16)
-        npt.assert_array_equal(out.data[0], img.reshape(-1))
+        out = patchify(Tensor(img[None]), 4)
+        assert out.shape == (1, 1, 16)
+        npt.assert_array_equal(out.data[0, 0], img.reshape(-1))
 
     def test_matches_index_arithmetic_oracle(self):
         rng = np.random.default_rng(1)
         img = rng.random((4, 4, 1))
-        out = patchify(Tensor(img), 2).data
+        out = patchify(Tensor(img[None]), 2).data[0]
         # oracle: explicit double loop over the patch grid
         expect = np.zeros((4, 4))
         k = 0
@@ -38,7 +38,11 @@ class TestPatchify:
 
     def test_non_divisible_patch_errors(self):
         with pytest.raises(T.ShapeError):
-            patchify(Tensor(np.zeros((5, 5, 1))), 2)
+            patchify(Tensor(np.zeros((1, 5, 5, 1))), 2)
+
+    def test_unbatched_image_names_the_batched_layout(self):
+        with pytest.raises(T.ShapeError, match=r"\[B, H, W, C\]"):
+            patchify(Tensor(np.zeros((4, 4, 1))), 2)
 
 
 class TestTextEncoder:

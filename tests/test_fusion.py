@@ -65,6 +65,16 @@ class TestDropoutChannel:
         mean = total / draws
         npt.assert_allclose(mean, x.data, rtol=0.01)
 
+    def test_mask_is_bernoulli(self):
+        # on ones the output is the rescaled mask: 0 or 1/p, kept with probability p
+        out = dropout_channel(t64(np.ones(2000)), 0.7, rng=np.random.default_rng(0)).data
+        assert set(np.unique(out)) <= {0.0, 1 / 0.7}
+        assert abs((out > 0).mean() - 0.7) < 0.05
+
+    def test_rejects_p_above_one(self):
+        with pytest.raises(ValueError):
+            dropout_channel(t64([1.0]), 1.5, mode="training", rng=np.random.default_rng(0))
+
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
             dropout_channel(t64([1.0]), 0.0, mode="training", rng=np.random.default_rng(0))

@@ -111,6 +111,14 @@ class TestSoftmax:
 
 NON_FINITE = pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan],
                                      ids=["neg_inf", "pos_inf", "nan"])
+# an infinite attention input meets weights of both signs in the value
+# projection's matmul, whose inf - inf warns before the softmax check raises
+_INF_PROJECTED = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in matmul:RuntimeWarning")
+NON_FINITE_ATTENTION = pytest.mark.parametrize(
+    "bad", [pytest.param(-np.inf, marks=_INF_PROJECTED),
+            pytest.param(np.inf, marks=_INF_PROJECTED), np.nan],
+    ids=["neg_inf", "pos_inf", "nan"])
 
 
 class TestNonFiniteCount:
@@ -131,7 +139,7 @@ class TestNonFiniteCount:
         with pytest.raises(T.NonFiniteError, match=r"has 6 non-finite entries"):
             T.softmax(t64(np.full((2, 3), bad)), axis=0)
 
-    @NON_FINITE
+    @NON_FINITE_ATTENTION
     def test_attention_scores(self, bad):
         # the bad entry of batch 0's key input 1 spreads over its whole key
         # row through the positive key weights, so with positive queries the
@@ -376,24 +384,25 @@ def conv1d_oracle(x, w, b, window):
 class TestConv1d:
     def test_window_one_is_per_position_affine(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((5, 3))
+        x = rng.standard_normal((1, 5, 3))
         w = rng.standard_normal((3, 2))
         b = rng.standard_normal(2)
         out = T.conv1d(t64(x), t64(w), t64(b), window=1)
         npt.assert_allclose(out.data, np.maximum(x @ w + b, 0), atol=1e-12)
 
     def test_zero_input_zero_bias(self):
-        out = T.conv1d(t64(np.zeros((4, 3))), t64(np.ones((6, 2))), t64(np.zeros(2)), window=2)
-        npt.assert_array_equal(out.data, np.zeros((3, 2)))
+        out = T.conv1d(t64(np.zeros((1, 4, 3))), t64(np.ones((6, 2))), t64(np.zeros(2)),
+                       window=2)
+        npt.assert_array_equal(out.data, np.zeros((1, 3, 2)))
 
     def test_window_two_against_oracle(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 2))
+        x = rng.standard_normal((1, 3, 2))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
         out = T.conv1d(t64(x), t64(w), t64(b), window=2)
-        assert out.shape == (2, 3)
-        npt.assert_allclose(out.data, conv1d_oracle(x, w, b, 2), atol=1e-12)
+        assert out.shape == (1, 2, 3)
+        npt.assert_allclose(out.data[0], conv1d_oracle(x[0], w, b, 2), atol=1e-12)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(6)
@@ -406,7 +415,12 @@ class TestConv1d:
 
     def test_short_sequence_instructs_padding(self):
         with pytest.raises(T.ShapeError, match="pad"):
-            T.conv1d(t64(np.zeros((2, 3))), t64(np.zeros((9, 2))), t64(np.zeros(2)), window=3)
+            T.conv1d(t64(np.zeros((1, 2, 3))), t64(np.zeros((9, 2))), t64(np.zeros(2)),
+                     window=3)
+
+    def test_unbatched_input_names_the_batched_layout(self):
+        with pytest.raises(T.ShapeError, match=r"\[B, n, d_in\]"):
+            T.conv1d(t64(np.zeros((4, 3))), t64(np.zeros((6, 2))), t64(np.zeros(2)), window=2)
 
     def test_gradients(self):
         rng = np.random.default_rng(8)
@@ -457,19 +471,6 @@ class TestReductions:
         with pytest.raises(T.ShapeError, match="empty"):
             T.max_pool(t64(np.zeros((3, 0))), axis=1)
 
-    def test_dropout_mask_is_bernoulli(self):
-        rng = np.random.default_rng(0)
-        mask = T.dropout_mask((2000,), 0.7, rng)
-        assert set(np.unique(mask)) <= {0.0, 1.0}
-        assert abs(mask.mean() - 0.7) < 0.05
-
-    def test_dropout_mask_rejects_bad_p(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            T.dropout_mask((3,), 0.0, rng)
-        with pytest.raises(ValueError):
-            T.dropout_mask((3,), 1.5, rng)
-
 
 # ---------------------------------------------------------------------------
 # backward contract
@@ -502,7 +503,7 @@ class TestBackward:
         backward(T.tsum(x))
         backward(T.tsum(x))
         npt.assert_array_equal(x.grad, [2.0, 2.0])
-        x.zero_grad()
+        x.grad = None
         backward(T.tsum(x))
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
@@ -1026,7 +1027,7 @@ class TestTiledAttention:
                           lambda: projected_composite(xq, xkv, h, *params),
                           present(xq, xkv, *params), readout)
 
-    @NON_FINITE
+    @NON_FINITE_ATTENTION
     def test_non_finite_logit_in_a_later_tile(self, bad):
         h, Lq, Lk, d = 2, 16, 24, 4
         step = tile_samples(h, Lq, Lk, np.float64)
