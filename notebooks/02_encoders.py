@@ -42,5 +42,5 @@ print("pad-extension drift:", np.abs(pooled_short - pooled_padded).max())
 # 4. The image encoder returns N+1 context rows (patches plus CLS).
 ienc = ImageEncoder(cfg2, image_size=8, patch_size=4, channels=1,
                     rng=np.random.default_rng(3))
-out = ienc(ImageBatch(rng.random((2, 8, 8, 1)), 4))
+out = ienc(ImageBatch(rng.random((2, 8, 8, 1))))
 print("image context:", out.context.shape, "| global (CLS):", out.pooled.shape)

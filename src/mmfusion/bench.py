@@ -40,7 +40,6 @@ def bench_attention(d=32, n_heads=2, ffn_width=64, batch=8, text_len=8,
             t0 = time.perf_counter()
             path(text_ctx, text_mask, image_ctx)
             times.append((time.perf_counter() - t0) * 1e3)
-        times = np.sort(times)
         rows.append({
             "topology": topology,
             "parameters": path.parameter_count(),

@@ -106,10 +106,10 @@ def _read_entry(name, meta, blob):
 
 
 def load_into(module, ckpt_dir):
-    """Assign checkpoint arrays onto a module's parameters. The checkpoint
-    must hold exactly the module's parameter names, with their shapes and
-    dtypes (a checkpoint never changes a parameter's dtype); nothing is
-    assigned unless all of it matches."""
+    """Copy checkpoint arrays into a module's parameters in place, so an
+    optimizer's arena sees them. The checkpoint must hold exactly the module's
+    parameter names, with their shapes and dtypes (a checkpoint never changes
+    a parameter's dtype); nothing is copied unless all of it matches."""
     weights = load_checkpoint(ckpt_dir)
     params = list(module.named_parameters())
     for name, p in params:
@@ -127,5 +127,5 @@ def load_into(module, ckpt_dir):
         raise CheckpointError(
             "checkpoint has parameters the model lacks: " + ", ".join(map(repr, extra)))
     for name, p in params:
-        p.data = weights[name]
+        p.data[...] = weights[name]
     return module

@@ -158,8 +158,18 @@ def _run_grid(variants, dataset, out_dir, csv_name, fieldnames):
     print(f"{csv_name} written with {len(rows)} rows")
 
 
+def _grid_config(args):
+    """The run config of a grid command. The grids vary the interaction path
+    and the loss weight gamma, which only a multimodal model has."""
+    cfg = load_config(args)
+    if cfg.modality != "multimodal":
+        raise ConfigError([f"{args.command} needs modality 'multimodal', got {cfg.modality!r}: "
+                           "a unimodal model has no interaction path and ignores gamma"])
+    return cfg
+
+
 def cmd_ablate(args):
-    cfg, dataset = _dataset_for(load_config(args))
+    cfg, dataset = _dataset_for(_grid_config(args))
     os.makedirs(args.out, exist_ok=True)
     variants = []
     for ham, rm, mlf in itertools.product((True, False), repeat=3):
@@ -177,7 +187,7 @@ def cmd_ablate(args):
 
 
 def cmd_gamma_sweep(args):
-    cfg = load_config(args)
+    cfg = _grid_config(args)
     grid = GAMMA_GRID if args.grid is None else tuple(args.grid)
     bad = [g for g in grid if not 0.0 <= g <= 0.5]
     if bad:

@@ -303,9 +303,8 @@ def make_text_batch(samples, vocab_size) -> TextBatch:
     return TextBatch(token_ids=ids, pad_mask=mask, vocab_size=vocab_size)
 
 
-def make_image_batch(samples, patch_size) -> ImageBatch:
-    pixels = np.stack([s.image for s in samples]).astype(np.float32, copy=False)
-    return ImageBatch(pixels=pixels, patch_size=patch_size)
+def make_image_batch(samples) -> ImageBatch:
+    return ImageBatch(np.stack([s.image for s in samples]).astype(np.float32, copy=False))
 
 
 def labels_of(samples):

@@ -36,21 +36,12 @@ class LossBreakdown:
     loss_text: float
     loss_interaction: float
     loss_image: float
-    gamma: float
     total: float
-
-    @classmethod
-    def combine(cls, loss_text, loss_interaction, loss_image, gamma):
-        return cls(loss_text=float(loss_text), loss_interaction=float(loss_interaction),
-                   loss_image=float(loss_image), gamma=float(gamma),
-                   total=(1.0 - gamma) * float(loss_interaction)
-                   + gamma * (float(loss_text) + float(loss_image)))
 
 
 @dataclass
 class VoteWeights:
     weights: dict            # branch name -> weight, nonnegative, sums to 1
-    strategy: str
 
 
 class BranchClassifier(Module):
@@ -99,9 +90,8 @@ def combined_loss(loss_text: Tensor, loss_interaction: Tensor, loss_image: Tenso
                       stacklevel=2)
     total = T.add(T.scale(loss_interaction, 1.0 - gamma),
                   T.scale(T.add(loss_text, loss_image), gamma))
-    breakdown = LossBreakdown.combine(loss_text.item(), loss_interaction.item(),
-                                      loss_image.item(), gamma)
-    return total, breakdown
+    lt, lh, li = loss_text.item(), loss_interaction.item(), loss_image.item()
+    return total, LossBreakdown(lt, lh, li, (1.0 - gamma) * lh + gamma * (lt + li))
 
 
 class VotingHead:
@@ -129,9 +119,7 @@ class VotingHead:
             raw = np.array([probs[b].max(axis=1).mean() for b in BRANCHES])
         w = raw / raw.sum()
         fused = sum(w[i] * probs[b] for i, b in enumerate(BRANCHES))
-        weights = VoteWeights(weights={b: float(w[i]) for i, b in enumerate(BRANCHES)},
-                              strategy=self.strategy)
-        return fused, weights
+        return fused, VoteWeights({b: float(w[i]) for i, b in enumerate(BRANCHES)})
 
 
 def weighted_vote(preds, strategy="confidence"):

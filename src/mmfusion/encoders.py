@@ -62,13 +62,6 @@ class TextBatch:
 @dataclass
 class ImageBatch:
     pixels: np.ndarray      # [B, H, W, C] floats in [0, 1]
-    patch_size: int
-
-    def __post_init__(self):
-        B, H, W, C = self.pixels.shape
-        if H % self.patch_size or W % self.patch_size:
-            raise T.ShapeError(
-                f"ImageBatch: patch size {self.patch_size} does not divide {H}x{W}")
 
 
 def patchify(x: Tensor, patch: int) -> Tensor:

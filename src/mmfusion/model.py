@@ -206,28 +206,25 @@ class MultimodalClassifier(Module):
 
     def loss(self, preds, labels):
         """Composite training loss for the configured modality."""
-        gamma = self.cfg.decision.gamma
         if self.modality == "multimodal":
             lt = cross_entropy(preds["text"].probs, labels)
             lh = cross_entropy(preds["interaction"].probs, labels)
             li = cross_entropy(preds["image"].probs, labels)
-            return combined_loss(lt, lh, li, gamma)
-        branch = "image" if self.modality == "image" else "text"
-        single = cross_entropy(preds[branch].probs, labels)
+            return combined_loss(lt, lh, li, self.cfg.decision.gamma)
+        single = cross_entropy(preds[self.modality].probs, labels)
         parts = {"loss_text": 0.0, "loss_interaction": 0.0, "loss_image": 0.0}
-        parts[f"loss_{branch}"] = single.item()
-        return single, LossBreakdown(gamma=gamma, total=single.item(), **parts)
+        parts[f"loss_{self.modality}"] = single.item()
+        return single, LossBreakdown(total=single.item(), **parts)
 
     def predict_probs(self, preds):
         """Fused class distribution (and vote weights when multimodal)."""
         if self.modality == "multimodal":
             return self.vote([preds[b] for b in BRANCHES])
-        branch = "image" if self.modality == "image" else "text"
-        return preds[branch].probs.data, None
+        return preds[self.modality].probs.data, None
 
     def batches_for(self, samples, vocab_size):
         text = make_text_batch(samples, vocab_size) \
             if self.modality in ("multimodal", "text") else None
-        image = make_image_batch(samples, self.cfg.data.patch_size) \
+        image = make_image_batch(samples) \
             if self.modality in ("multimodal", "image") else None
         return text, image

@@ -14,10 +14,10 @@ those of a per-tensor loop: ``m``, ``v`` and ``lr * update`` in the
 parameter dtype, the gradient and the decayed weight in float64.
 
 The weights are updated in place: an array read from ``p.data`` before a
-step holds the new values after it. A ``p.data`` rebound to an array of the
-same shape and dtype (as ``checkpoint.load_into`` does) is copied into its
-slot and re-pointed at the next ``step``; any other rebinding raises
-``ValueError`` naming the parameter.
+step holds the new values after it. Replacing weights means writing into
+``p.data`` (as ``checkpoint.load_into`` does); a ``p.data`` rebound to any
+other array makes the next ``step`` raise ``ValueError`` naming the
+parameter.
 """
 
 from __future__ import annotations
@@ -85,14 +85,10 @@ class AdamW:
         if missing:
             raise MissingGradientError(
                 "parameters without gradient: " + ", ".join(sorted(missing)))
-        for name, p, view in self._slots:
-            if p.data is not view:
-                if p.data.shape != view.shape or p.data.dtype != view.dtype:
-                    raise ValueError(
-                        f"parameter {name} was rebound to a {p.data.dtype} array of shape "
-                        f"{p.data.shape}; its optimizer slot holds {view.dtype} {view.shape}")
-                view[...] = p.data
-                p.data = view
+        rebound = [name for name, p, view in self._slots if p.data is not view]
+        if rebound:
+            raise ValueError("parameters rebound away from their optimizer slots: "
+                             + ", ".join(rebound))
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t

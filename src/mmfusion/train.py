@@ -76,9 +76,7 @@ def train_epoch(model, samples, optimizer, vocab_size, shuffle_rng, dropout_rng)
         n_batches += 1
     optimizer.zero_grad()
     mean = sums / max(n_batches, 1)
-    return LossBreakdown(loss_text=mean[0], loss_interaction=mean[1],
-                         loss_image=mean[2], gamma=model.cfg.decision.gamma,
-                         total=mean[3])
+    return LossBreakdown(*mean)
 
 
 def train_model(model, dataset, log=None):

@@ -814,6 +814,19 @@ class TestGammaSweep:
                      "--out", str(tmp_path / "s"), "--grid", "0.0", "0.7"]) == 2
 
 
+@pytest.mark.parametrize("modality", ["image", "text"])
+@pytest.mark.parametrize("command", ["ablate", "gamma-sweep"])
+def test_grid_command_on_a_unimodal_config_exits_2(command, modality, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, modality=modality)))
+    out = tmp_path / "grid"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {command} needs modality 'multimodal', got '{modality}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestFlags:
     @pytest.mark.parametrize("command,flag,value", [
         ("generate", "--seed", "1"), ("generate", "--mode", "pooled"),

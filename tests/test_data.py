@@ -79,7 +79,7 @@ class TestBatching:
 
     def test_image_batch_stacks(self):
         ds = generate(tiny_spec())
-        batch = make_image_batch(ds.samples[:5], ds.spec.patch_size)
+        batch = make_image_batch(ds.samples[:5])
         assert batch.pixels.shape == (5, 8, 8, 1)
 
 

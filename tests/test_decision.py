@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from mmfusion import tensor as T
-from mmfusion.decision import (BranchClassifier, BranchPrediction, LossBreakdown,
-                               combined_loss, cross_entropy, weighted_vote)
+from mmfusion.decision import (BranchClassifier, BranchPrediction, combined_loss,
+                               cross_entropy, weighted_vote)
 from mmfusion.tensor import Tensor, backward
 
 
@@ -181,7 +181,7 @@ class TestWeightedVote:
 
 
 def test_loss_breakdown_combine_formula():
-    bd = LossBreakdown.combine(0.5, 2.0, 0.25, 0.2)
+    _, bd = combined_loss(t64([0.5]), t64([2.0]), t64([0.25]), 0.2)
     npt.assert_allclose(bd.total, 0.8 * 2.0 + 0.2 * 0.75, atol=1e-15)
 
 

@@ -100,7 +100,7 @@ class TestImageEncoder:
 
     def test_context_length_is_patches_plus_cls(self):
         enc = self.make()
-        out = enc(ImageBatch(np.random.default_rng(0).random((2, 4, 4, 1)), 2))
+        out = enc(ImageBatch(np.random.default_rng(0).random((2, 4, 4, 1))))
         assert out.context.shape == (2, 5, 8)
         assert out.pooled.shape == (2, 8)
 
@@ -110,14 +110,19 @@ class TestImageEncoder:
         img = rng.random((1, 4, 4, 1))
         other = img.copy()
         other[0, :2, :2, 0] = 1.0 - other[0, :2, :2, 0]
-        a = enc(ImageBatch(img, 2)).pooled.data
-        b = enc(ImageBatch(other, 2)).pooled.data
+        a = enc(ImageBatch(img)).pooled.data
+        b = enc(ImageBatch(other)).pooled.data
         assert np.abs(a - b).max() > 1e-6
+
+    def test_patch_size_that_does_not_divide_the_batch_is_rejected(self):
+        enc = self.make()
+        with pytest.raises(T.ShapeError, match="patchify: patch size 2 does not divide 5x5"):
+            enc(ImageBatch(np.zeros((1, 5, 5, 1))))
 
     def test_out_of_range_pixels_are_rejected(self):
         enc = self.make()
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            enc(ImageBatch(np.full((1, 4, 4, 1), 2.0), 2))
+            enc(ImageBatch(np.full((1, 4, 4, 1), 2.0)))
 
     def test_nan_pixel_is_rejected_by_the_encoder(self):
         """NaN fails both bounds, so it stops at the pixel guard instead of
@@ -126,7 +131,7 @@ class TestImageEncoder:
         pixels = np.random.default_rng(9).random((2, 4, 4, 1))
         pixels[1, 2, 3, 0] = np.nan
         with pytest.raises(ValueError, match="encode_image") as excinfo:
-            enc(ImageBatch(pixels, 2))
+            enc(ImageBatch(pixels))
         assert not isinstance(excinfo.value, T.NonFiniteError)
 
     def test_full_encoder_gradient(self):
@@ -140,7 +145,7 @@ class TestImageEncoder:
         probe = Tensor(rng.standard_normal(8))
 
         def forward():
-            pooled = enc(ImageBatch(pixels, 2)).pooled
+            pooled = enc(ImageBatch(pixels)).pooled
             return T.tsum(T.mul(T.reshape(pooled, (8,)), probe))
 
         worst = 0.0

@@ -183,7 +183,7 @@ def tiny_batch(rng, B, D, padded):
     mask = np.arange(D) < lengths[:, None]
     ids = np.where(mask, rng.integers(2, 12, (B, D)), 0)
     pixels = rng.random((B, 4, 4, 1)).astype(np.float32)
-    return (TextBatch(ids, mask, 12), ImageBatch(pixels, 2), rng.integers(0, 3, B))
+    return (TextBatch(ids, mask, 12), ImageBatch(pixels), rng.integers(0, 3, B))
 
 
 class TestModelEqualsItsPrimitiveGraph:
