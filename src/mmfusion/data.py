@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoders import PAD_ID, UNK_ID, ImageBatch, TextBatch
+from .encoders import PAD_ID, UNK_ID, TextBatch
 from .fields import ConfigError, bounded, field_problems, from_dict, is_int
 
 MIN_TEXT_WIDTH = 3                    # a text batch is padded to this many tokens or more
@@ -113,7 +113,7 @@ class Dataset:
     vocab: dict
     pattern_of: list      # class -> pattern id
     keyword_of: list      # class -> keyword token id
-    self_check: dict = field(default_factory=dict)
+    self_check: dict
 
     def split(self, name):
         return [s for s in self.samples if s.split == name]
@@ -227,15 +227,15 @@ def _render_sample_image(base, spec, rng):
     return np.repeat(img[:, :, None], spec.channels, axis=2)
 
 
-def _sample_tokens(keyword_id, spec, vocab_lo, vocab_hi, rng):
+def _sample_tokens(keyword_id, spec, vocab_lo, rng):
     lo, hi = spec.sentence_len
     length = int(rng.integers(lo, hi + 1))
-    tokens = list(rng.integers(vocab_lo, vocab_hi, length))
+    tokens = list(rng.integers(vocab_lo, spec.vocab_size, length))
     tokens[int(rng.integers(0, length))] = keyword_id
     if spec.noise_level > 0:
         for t in range(length):
             if rng.random() < spec.noise_level:
-                tokens[t] = int(rng.integers(2, vocab_hi))
+                tokens[t] = int(rng.integers(2, spec.vocab_size))
     return [int(t) for t in tokens]
 
 
@@ -243,50 +243,43 @@ def _sample_tokens(keyword_id, spec, vocab_lo, vocab_hi, rng):
 # generation
 # ---------------------------------------------------------------------------
 
-def build_vocab(spec, keyword_groups):
-    n_keywords = len(set(keyword_groups))
-    vocab = {"<pad>": PAD_ID, "<unk>": UNK_ID}
-    for k in range(n_keywords):
-        vocab[f"kw{k}"] = 2 + k
-    filler_lo = 2 + n_keywords
-    for w in range(spec.vocab_size - filler_lo):
-        vocab[f"w{w}"] = filler_lo + w
-    return vocab, filler_lo
+def _unsampled(spec) -> Dataset:
+    """The dataset of ``spec`` before any sample is drawn. Its vocabulary,
+    class tables and self-check are functions of the spec alone, so
+    ``generate`` and ``load_dataset`` both rebuild them here."""
+    n = spec.n_classes
+    pattern_groups = _assign_groups(n, int(np.floor(spec.image_informativeness * n)),
+                                    from_front=True)
+    keyword_groups = _assign_groups(n, int(np.floor(spec.text_informativeness * n)),
+                                    from_front=False)
+    self_check = _self_check(spec, pattern_groups, keyword_groups)
+    keyword_ids = {g: 2 + i for i, g in enumerate(sorted(set(keyword_groups)))}
+    filler_lo = 2 + len(keyword_ids)
+    vocab = {"<pad>": PAD_ID, "<unk>": UNK_ID,
+             **{f"kw{k}": 2 + k for k in range(len(keyword_ids))},
+             **{f"w{w}": filler_lo + w for w in range(spec.vocab_size - filler_lo)}}
+    return Dataset(spec=spec, samples=[], vocab=vocab, pattern_of=pattern_groups,
+                   keyword_of=[keyword_ids[g] for g in keyword_groups],
+                   self_check=self_check)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
     problems = spec.validate()
     if problems:
         raise DatasetError("invalid synthetic spec: " + "; ".join(problems))
-    n = spec.n_classes
-    img_unique = int(np.floor(spec.image_informativeness * n))
-    txt_unique = int(np.floor(spec.text_informativeness * n))
-    pattern_groups = _assign_groups(n, img_unique, from_front=True)
-    keyword_groups = _assign_groups(n, txt_unique, from_front=False)
-    self_check = _self_check(spec, pattern_groups, keyword_groups)
-
-    vocab, filler_lo = build_vocab(spec, keyword_groups)
-    keyword_ids = {g: 2 + i for i, g in enumerate(sorted(set(keyword_groups)))}
-    keyword_of = [keyword_ids[g] for g in keyword_groups]
-
-    per = spec.samples_per_class
+    ds = _unsampled(spec)
+    filler_lo = ds.vocab["w0"]      # filler words follow the keywords
     n_train, n_val, _n_test = split_counts(spec)
-
-    samples = []
-    for label in range(n):
+    for label in range(spec.n_classes):
         # the pattern depends only on the class and draws no randomness
-        base = render_pattern(pattern_groups[label], spec.image_size)
-        for i in range(per):
+        base = render_pattern(ds.pattern_of[label], spec.image_size)
+        for i in range(spec.samples_per_class):
             rng = np.random.default_rng([spec.seed, label, i])
             image = _render_sample_image(base, spec, rng)
-            tokens = _sample_tokens(keyword_of[label], spec, filler_lo,
-                                    spec.vocab_size, rng)
+            tokens = _sample_tokens(ds.keyword_of[label], spec, filler_lo, rng)
             split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
-            samples.append(Sample(image=image, tokens=tokens, label=label, split=split))
-
-    return Dataset(spec=spec, samples=samples, vocab=vocab,
-                   pattern_of=pattern_groups, keyword_of=keyword_of,
-                   self_check=self_check)
+            ds.samples.append(Sample(image=image, tokens=tokens, label=label, split=split))
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +296,9 @@ def make_text_batch(samples, vocab_size) -> TextBatch:
     return TextBatch(token_ids=ids, pad_mask=mask, vocab_size=vocab_size)
 
 
-def make_image_batch(samples) -> ImageBatch:
-    return ImageBatch(np.stack([s.image for s in samples]).astype(np.float32, copy=False))
+def make_image_batch(samples) -> np.ndarray:
+    """The samples' images as one [B, H, W, C] float32 array."""
+    return np.stack([s.image for s in samples]).astype(np.float32, copy=False)
 
 
 def labels_of(samples):
@@ -316,45 +310,35 @@ def labels_of(samples):
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: Dataset, out_dir):
+    """Write what the spec cannot rebuild: ``dataset.json`` holds the spec,
+    one {tokens, label, split} record per sample and ``images_crc32``, and
+    ``images.bin`` the images as one little-endian float32 [N, H, W, C] array
+    in record order."""
     os.makedirs(out_dir, exist_ok=True)
-    records = []
-    offset = crc = 0
+    crc = 0
     with open(os.path.join(out_dir, "images.bin"), "wb") as fh:
         for s in ds.samples:
-            raw = np.ascontiguousarray(s.image.astype("<f4")).tobytes()
-            records.append({"tokens": s.tokens, "label": s.label, "split": s.split,
-                            "offset": offset, "length": len(raw)})
+            raw = s.image.astype("<f4").tobytes()
             fh.write(raw)
-            offset += len(raw)
             crc = zlib.crc32(raw, crc)
-    doc = {
-        "spec": asdict(ds.spec),
-        "vocab": ds.vocab,
-        "pattern_of": ds.pattern_of,
-        "keyword_of": ds.keyword_of,
-        "self_check": ds.self_check,
-        "image_shape": [ds.spec.image_size, ds.spec.image_size, ds.spec.channels],
-        "samples": records,
-        "images_crc32": crc,
-    }
+    records = [{"tokens": s.tokens, "label": s.label, "split": s.split} for s in ds.samples]
     with open(os.path.join(out_dir, "dataset.json"), "w") as fh:
-        json.dump(doc, fh)
-    # the vocabulary also ships as a standalone word -> id file
-    with open(os.path.join(out_dir, "vocab.json"), "w") as fh:
-        json.dump(ds.vocab, fh, indent=1)
+        json.dump({"spec": asdict(ds.spec), "samples": records, "images_crc32": crc}, fh)
 
 
-# dataset.json's top-level fields and the checks of a sample record's fields
-_DOC_FIELDS = {"spec": dict, "vocab": dict, "pattern_of": list, "keyword_of": list,
-               "self_check": dict, "image_shape": list, "samples": list,
-               "images_crc32": int}
-_RECORD_FIELDS = {"offset": is_int, "length": is_int, "label": is_int,
-                  "split": lambda v: isinstance(v, str),
+# dataset.json's top-level fields and the checks of a sample record's fields;
+# the vocabulary, class tables and self-check are rebuilt from the spec, and
+# a file that still carries them (or record offsets) is read without them
+_DOC_FIELDS = {"spec": dict, "samples": list, "images_crc32": int}
+_RECORD_FIELDS = {"label": is_int, "split": lambda v: isinstance(v, str),
                   "tokens": lambda v: isinstance(v, list) and all(map(is_int, v))}
 
 
 def _record_problem(rec, spec):
-    """Why the model cannot consume a well-typed sample record, or None."""
+    """Why the model cannot consume a sample record, or None."""
+    if not (isinstance(rec, dict)
+            and all(k in rec and ok(rec[k]) for k, ok in _RECORD_FIELDS.items())):
+        return f"needs an integer label, a token list and a split name, got {rec!r}"
     tokens = rec["tokens"]
     if not 0 <= rec["label"] < spec.n_classes:
         return f"label {rec['label']} outside [0, {spec.n_classes})"
@@ -368,23 +352,22 @@ def _record_problem(rec, spec):
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory back.
+    """Read a dataset directory back; the vocabulary, class tables and
+    self-check are rebuilt from its spec.
 
     Anything that does not describe a whole dataset raises
     ``DatasetIOError``: an unreadable file, a ``dataset.json`` that is not a
     JSON object with the fields ``save_dataset`` writes, an ``images.bin``
     whose ``zlib.crc32`` is not the recorded ``images_crc32``, an embedded spec
     that ``fields.from_dict`` rejects or whose ``validate`` reports a
-    problem, a vocabulary whose length is not the spec's ``vocab_size`` (the
-    model's word embedding is sized from it), an ``image_shape`` other than
-    the spec's, a sample record without an integer
-    ``offset``/``length``/``label``, a token list or a ``split`` string, a
-    record the model cannot consume (a label outside the spec's classes, a
-    split not in ``SPLITS``, an empty token list or one longer than
-    ``sentence_len`` allows, a token id outside the vocabulary), image bytes
-    that do not fit the record, a pixel value outside [0, 1] or not finite
-    (the encoders read pixels in [0, 1]), or no ``train`` or no ``test``
-    record (training would take no step, evaluation would read nothing).
+    problem, a sample record without an integer ``label``, a token list or a
+    ``split`` string, a record the model cannot consume (a label outside the
+    spec's classes, a split not in ``SPLITS``, an empty token list or one
+    longer than ``sentence_len`` allows, a token id outside the spec's
+    vocabulary), no ``train`` or no ``test`` record (training would take no
+    step, evaluation would read nothing), an ``images.bin`` whose size is not
+    the records times the spec's image bytes, or a pixel value outside
+    [0, 1] or not finite (the encoders read pixels in [0, 1]).
     """
     try:
         with open(os.path.join(in_dir, "dataset.json")) as fh:
@@ -409,45 +392,28 @@ def load_dataset(in_dir) -> Dataset:
     problems = spec.validate()
     if problems:
         raise DatasetIOError(f"invalid spec in {in_dir}/dataset.json: {'; '.join(problems)}")
-    if len(doc["vocab"]) != spec.vocab_size:
-        raise DatasetIOError(
-            f"dataset.json at {in_dir} has {len(doc['vocab'])} vocabulary words, "
-            f"its spec's vocab_size is {spec.vocab_size}")
-    shape = (spec.image_size, spec.image_size, spec.channels)
-    if tuple(doc["image_shape"]) != shape:
-        raise DatasetIOError(
-            f"image_shape {doc['image_shape']!r} in {in_dir} does not match its spec")
-    expected = int(np.prod(shape)) * 4
-    samples = []
-    for i, rec in enumerate(doc["samples"]):
-        if not (isinstance(rec, dict)
-                and all(k in rec and ok(rec[k]) for k, ok in _RECORD_FIELDS.items())):
-            raise DatasetIOError(
-                f"corrupt sample record {i}: needs integer offset, length and label, "
-                f"a token list and a split name, got {rec!r}")
+    records = doc["samples"]
+    for i, rec in enumerate(records):
         problem = _record_problem(rec, spec)
         if problem:
             raise DatasetIOError(f"sample record {i} in {in_dir}: {problem}")
-        start, length = rec["offset"], rec["length"]
-        if start < 0 or length != expected or start + length > len(blob):
-            raise DatasetIOError(
-                f"corrupt image record at offset {start}: length {length}, "
-                f"file has {len(blob)} bytes")
-        img = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=start)
-        samples.append(Sample(image=img.reshape(shape).astype(np.float32),
-                              tokens=list(rec["tokens"]), label=rec["label"],
-                              split=rec["split"]))
-    missing = [name for name in ("train", "test") if all(s.split != name for s in samples)]
+    missing = [name for name in ("train", "test") if all(r["split"] != name for r in records)]
     if missing:
         raise DatasetIOError(f"dataset at {in_dir} has no {' and no '.join(missing)} records")
-    pixels = np.stack([s.image for s in samples])
+    shape = (spec.image_size, spec.image_size, spec.channels)
+    image_bytes = int(np.prod(shape)) * 4
+    if len(blob) != len(records) * image_bytes:
+        raise DatasetIOError(
+            f"images.bin at {in_dir} has {len(blob)} bytes, not {len(records)} records "
+            f"x {image_bytes} bytes of a {'x'.join(map(str, shape))} float32 image")
+    pixels = np.frombuffer(blob, dtype="<f4").reshape(len(records), *shape)
     bad = ~((pixels >= 0.0) & (pixels <= 1.0))      # NaN fails both
     if bad.any():
-        first = int(np.argmax(bad.reshape(len(samples), -1).any(axis=1)))
+        first = int(np.argmax(bad.reshape(len(records), -1).any(axis=1)))
         raise DatasetIOError(
             f"images.bin at {in_dir} has {int(bad.sum())} pixel values outside "
             f"[0, 1] or not finite, the first in sample record {first}")
-    return Dataset(spec=spec, samples=samples, vocab=dict(doc["vocab"]),
-                   pattern_of=list(doc["pattern_of"]),
-                   keyword_of=list(doc["keyword_of"]),
-                   self_check=dict(doc["self_check"]))
+    ds = _unsampled(spec)
+    ds.samples = [Sample(image=image, tokens=list(rec["tokens"]), label=rec["label"],
+                         split=rec["split"]) for image, rec in zip(pixels, records)]
+    return ds

@@ -59,11 +59,6 @@ class TextBatch:
             raise T.ShapeError("TextBatch: token id out of vocabulary range")
 
 
-@dataclass
-class ImageBatch:
-    pixels: np.ndarray      # [B, H, W, C] floats in [0, 1]
-
-
 def patchify(x: Tensor, patch: int) -> Tensor:
     """Split [B,H,W,C] into [B, N, patch*patch*C] flattened non-overlapping
     patches.
@@ -156,8 +151,8 @@ class ImageEncoder(Module):
         self.pos_emb = Tensor(trunc_normal(rng, (n_patches + 1, d)), requires_grad=True)
         self.stack = _BlockStack(cfg, rng)
 
-    def __call__(self, batch: ImageBatch) -> EncoderOutput:
-        pixels = batch.pixels
+    def __call__(self, pixels: np.ndarray) -> EncoderOutput:
+        """pixels: [B, H, W, C] floats in [0, 1]."""
         if not ((pixels >= 0.0) & (pixels <= 1.0)).all():  # NaN fails both
             raise ValueError("encode_image: pixel values outside [0, 1] or not finite")
         B = pixels.shape[0]

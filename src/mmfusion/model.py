@@ -82,9 +82,9 @@ class RunConfig:
         """Every problem of every section (``data`` only when the dataset is
         generated from it), then the top-level fields'. A model that reads
         text needs ``text_encoder.max_len`` positions for the widest padded
-        batch that ``data.sentence_len`` allows; that rule reads ``data``
-        either way, and a loaded dataset's spec replaces it before the model
-        is built."""
+        batch that ``data.sentence_len`` allows; that rule, the attention
+        budget and the parameter budget read ``data`` either way, and a loaded
+        dataset's spec replaces it before the model is built."""
         problems = []
         for f in fields(self):
             section = getattr(self, f.name)
@@ -95,13 +95,28 @@ class RunConfig:
                 f"encoder widths differ ({self.text_encoder.d_model} vs "
                 f"{self.image_encoder.d_model}); fusion requires equal widths")
         text, data = self.text_encoder, self.data
-        if self.modality != "image" and not (field_problems(text) or field_problems(data)):
+        if not (field_problems(text) or field_problems(data)):
             width = max(MIN_TEXT_WIDTH, data.sentence_len[1])
-            if text.max_len < width:
+            if self.modality != "image" and text.max_len < width:
                 problems.append(
                     f"text_encoder.max_len {text.max_len} is shorter than the widest "
                     f"text batch, {width} tokens (data.sentence_len {data.sentence_len})")
-        sized = (text, self.image_encoder, data, self.fusion, self)    # the count's inputs
+        sized = (text, self.image_encoder, data, self.fusion, self)    # the counts' inputs
+        if not (any(map(field_problems, sized)) or data.validate()):
+            # attention works one sample at a time at least, so one sample's
+            # [h, L, L] float32 probabilities must fit 1 GiB, for the longest
+            # sequence L that each attention reads; a spec over its own
+            # budgets is told of those alone
+            patches = (data.image_size // data.patch_size) ** 2
+            attended = {"text": ("the text encoder", text.n_heads, width),
+                        "image": ("the image encoder", self.image_encoder.n_heads, patches + 1),
+                        "multimodal": ("the fusion path", text.n_heads, width + patches)}
+            for m, (where, h, length) in attended.items():
+                if self.modality in (m, "multimodal") and h * length ** 2 * 4 > 2**30:
+                    problems.append(
+                        f"{where} attends over {length} positions; one sample's "
+                        f"probabilities would take {h * length ** 2 * 4 / 2**30:.1f} GiB, "
+                        f"over the 1 GiB budget ({h} heads x {length}^2 x 4 bytes)")
         if not any(map(field_problems, sized)) and self.parameter_count() > PARAMETER_BUDGET:
             problems.append(f"the model would hold {self.parameter_count():,} parameters, "
                             f"over the budget of {PARAMETER_BUDGET:,}")

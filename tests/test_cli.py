@@ -653,11 +653,6 @@ def _truncate_to_spec(doc):
     return '{"spec": '
 
 
-def _drop_first_offset(doc):
-    del doc["samples"][0]["offset"]
-    return json.dumps(doc)
-
-
 def _unknown_spec_field(doc):
     doc["spec"]["bogus"] = 1
     return json.dumps(doc)
@@ -681,12 +676,7 @@ def _first_record(**changes):
 
 
 def _token_outside_vocab(doc):
-    doc["samples"][0]["tokens"][0] = len(doc["vocab"])
-    return json.dumps(doc)
-
-
-def _extra_vocabulary(doc):
-    doc["vocab"].update({f"extra{i}": len(doc["vocab"]) + i for i in range(5000)})
+    doc["samples"][0]["tokens"][0] = doc["spec"]["vocab_size"]
     return json.dumps(doc)
 
 
@@ -701,15 +691,15 @@ def _relabel_split(old, new):
 
 class TestCorruptDataset:
     @pytest.mark.parametrize("mutate", [
-        _truncate_to_spec, _drop_first_offset, _unknown_spec_field, _invalid_spec,
+        _truncate_to_spec, _unknown_spec_field, _invalid_spec,
         _image_shape_not_the_spec_s, _first_record(label=3), _first_record(label=-1),
         _first_record(split="holdout"), _first_record(tokens=[]),
-        _first_record(tokens=[2] * 6), _token_outside_vocab, _extra_vocabulary,
+        _first_record(tokens=[2] * 6), _token_outside_vocab,
         _relabel_split("test", "train"), _relabel_split("train", "val"),
-    ], ids=["truncated", "record_without_offset", "bad_spec", "invalid_spec",
+    ], ids=["truncated", "bad_spec", "invalid_spec",
             "image_shape_mismatch", "label_too_large", "negative_label",
             "unknown_split", "no_tokens", "too_many_tokens", "token_outside_vocab",
-            "vocabulary_not_the_spec_s", "no_test_records", "no_train_records"])
+            "no_test_records", "no_train_records"])
     def test_train_exits_4_without_traceback(self, tiny_config, tmp_path, mutate):
         data_dir = tmp_path / "ds"
         assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
@@ -734,6 +724,32 @@ class TestCorruptDataset:
         assert main(["train", "--config", tiny_config, "--data", str(data_dir),
                      "--out", str(tmp_path / "run")]) == 4
         assert "crc32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, records", [("drop_record", 29), ("extra_image", 30)])
+    def test_image_bytes_not_the_records_times_the_image_size_exit_4(
+            self, tiny_config, tmp_path, change, records):
+        # images.bin is one [N, H, W, C] array: one image more than the
+        # records (under a recomputed crc32), or one record fewer, is caught
+        data_dir = tmp_path / "ds"
+        assert main(["generate", "--config", tiny_config, "--out", str(data_dir)]) == 0
+        doc = json.loads((data_dir / "dataset.json").read_text())
+        if change == "drop_record":
+            doc["samples"].pop()
+        else:
+            blob = (data_dir / "images.bin").read_bytes()
+            blob += blob[:8 * 8 * 4]
+            (data_dir / "images.bin").write_bytes(blob)
+            doc["images_crc32"] = zlib.crc32(blob)
+        (data_dir / "dataset.json").write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmfusion", "train", "--config", tiny_config,
+             "--data", str(data_dir), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 4, proc.stderr
+        assert f"bytes, not {records} records x 256 bytes of a 8x8x1 float32 image" \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit", [_first_above_one, _last_nan],
                              ids=["pixel_above_one", "nan_pixel"])
@@ -823,6 +839,23 @@ def test_grid_command_on_a_unimodal_config_exits_2(command, modality, tmp_path, 
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {command} needs modality 'multimodal', got '{modality}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_attention_that_cannot_fit_exits_2(tmp_path, capsys):
+    # 65,536 one-pixel patches: the parameter count is in budget, but one
+    # sample's [2, 65537, 65537] image attention would take 32 GiB
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data": {"image_size": 256, "patch_size": 1,
+                                         "samples_per_class": 2},
+                                "trainer": {"epochs": 1}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: the image encoder attends over 65537 positions; one sample's "
+            "probabilities would take 32.0 GiB, over the 1 GiB budget "
+            "(2 heads x 65537^2 x 4 bytes)") in err
     assert "Traceback" not in err
     assert not out.exists()
 

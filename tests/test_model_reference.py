@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from mmfusion import tensor as T
 from mmfusion.data import SyntheticSpec
 from mmfusion.decision import combined_loss, cross_entropy
-from mmfusion.encoders import EncoderConfig, ImageBatch, TextBatch, patchify
+from mmfusion.encoders import EncoderConfig, TextBatch, patchify
 from mmfusion.fusion import TOPOLOGIES, _window_key_mask, dropout_channel
 from mmfusion.layers import LAYER_NORM_EPS
 from mmfusion.model import FusionSettings, MultimodalClassifier, RunConfig
@@ -66,10 +66,10 @@ def text_ref(enc, batch):
     return context, masked_mean_composite(context, batch.pad_mask)
 
 
-def image_ref(enc, batch):
+def image_ref(enc, pixels):
     """(context, pooled) of ``ImageEncoder``."""
-    B, (d,), dtype = batch.pixels.shape[0], enc.cls_token.shape, enc.cls_token.dtype
-    tokens = dense(enc.patch_proj, patchify(Tensor(batch.pixels.astype(dtype)), enc.patch_size))
+    B, (d,), dtype = pixels.shape[0], enc.cls_token.shape, enc.cls_token.dtype
+    tokens = dense(enc.patch_proj, patchify(Tensor(pixels.astype(dtype)), enc.patch_size))
     cls = T.add(Tensor(np.zeros((B, 1, d), dtype)), enc.cls_token)
     context = stack_ref(enc.stack, T.add(T.concat([cls, tokens], axis=1), enc.pos_emb))
     return context, T.reshape(T.narrow(context, 1, 0, 1), (B, d))
@@ -183,7 +183,7 @@ def tiny_batch(rng, B, D, padded):
     mask = np.arange(D) < lengths[:, None]
     ids = np.where(mask, rng.integers(2, 12, (B, D)), 0)
     pixels = rng.random((B, 4, 4, 1)).astype(np.float32)
-    return (TextBatch(ids, mask, 12), ImageBatch(pixels), rng.integers(0, 3, B))
+    return (TextBatch(ids, mask, 12), pixels, rng.integers(0, 3, B))
 
 
 class TestModelEqualsItsPrimitiveGraph:
