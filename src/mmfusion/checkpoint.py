@@ -55,8 +55,8 @@ def load_checkpoint(ckpt_dir):
     Anything that does not describe a whole checkpoint raises
     ``CheckpointError``: an unreadable file, a manifest that is not a JSON
     object of entries, an entry without an integer ``offset``/``length``/
-    ``crc32``, a ``shape`` list or a known ``dtype``, or bytes that do not
-    fit it or fail its checksum.
+    ``crc32``, a ``shape`` list or a known ``dtype``, bytes that do not fit
+    it or fail its checksum, or bytes after the last entry.
     """
     try:
         with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
@@ -69,7 +69,12 @@ def load_checkpoint(ckpt_dir):
         raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: not a JSON object")
-    return {name: _read_entry(name, meta, blob) for name, meta in manifest.items()}
+    weights = {name: _read_entry(name, meta, blob) for name, meta in manifest.items()}
+    end = max((meta["offset"] + meta["length"] for meta in manifest.values()), default=0)
+    if len(blob) != end:
+        raise CheckpointError(
+            f"weights.bin at {ckpt_dir} has {len(blob) - end} bytes after its last entry")
+    return weights
 
 
 def _is_count(v):

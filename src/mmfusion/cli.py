@@ -37,8 +37,6 @@ OVERRIDES = {
     "vote": ("decision", "vote", {"choices": VOTE_STRATEGIES}),
     "gamma": ("decision", "gamma", {"type": float}),
     "epochs": ("trainer", "epochs", {"type": int}),
-    "data": (None, "dataset_path",
-             {"help": "dataset directory (default: generate from config)"}),
 }
 
 
@@ -56,24 +54,26 @@ def _read_json(path, what):
         raise ConfigError([f"{what} {path} is not valid JSON: {exc}"])
 
 
-def load_config(args) -> RunConfig:
+def load_run(args, check=None, generate_data=True):
+    """The command's config and the dataset it reads: the flags override the
+    config file, and a dataset loaded with ``--data`` replaces the ``data``
+    section with its spec. The config is then validated once, against that
+    data, with ``check(args, cfg)``'s problems; only then, without
+    ``--data``, is the dataset generated (unless ``generate_data`` is off)."""
     cfg = RunConfig.from_dict(_read_json(args.config, "config") if args.config else {})
     for flag, (section, name, _options) in OVERRIDES.items():
         value = getattr(args, flag, None)
         if value is not None:
             setattr(getattr(cfg, section) if section else cfg, name, value)
-    cfg.require_valid()
-    return cfg
-
-
-def _dataset_for(cfg):
-    """The run's dataset and the config to build its model from: a loaded
-    dataset replaces the config's ``data`` section with its own spec, so the
-    model is sized from the data it sees and checked against it."""
-    if cfg.dataset_path:
-        dataset = load_dataset(cfg.dataset_path)
-        return replace(cfg, data=dataset.spec).require_valid(), dataset
-    return cfg, generate(cfg.data)
+    dataset = load_dataset(args.data) if getattr(args, "data", None) else None
+    if dataset is not None:
+        cfg = replace(cfg, data=dataset.spec)
+    problems = cfg.validate() or (check(args, cfg) if check else [])
+    if problems:
+        raise ConfigError(problems)
+    if dataset is None and generate_data:
+        dataset = generate(cfg.data)
+    return cfg, dataset
 
 
 def _write_loss_history(history, path):
@@ -106,27 +106,23 @@ def _train_once(cfg, dataset, out_dir=None):
 
 def cmd_generate(args):
     if args.spec:
-        spec = from_dict(SyntheticSpec(), _read_json(args.spec, "spec"))
+        ds = generate(from_dict(SyntheticSpec(), _read_json(args.spec, "spec")))
     else:
-        spec = load_config(args).data
-    problems = spec.validate()
-    if problems:
-        raise ConfigError(problems)
-    ds = generate(spec)
+        _cfg, ds = load_run(args)
     save_dataset(ds, args.out)
     print(f"dataset: {len(ds.samples)} samples, self-check {ds.self_check}")
     return 0
 
 
 def cmd_train(args):
-    cfg, dataset = _dataset_for(load_config(args))
+    cfg, dataset = load_run(args)
     _train_once(cfg, dataset, out_dir=args.out)
     print(f"artifacts written to {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg, dataset = _dataset_for(load_config(args))
+    cfg, dataset = load_run(args)
     model = MultimodalClassifier(cfg, vocab_size=len(dataset.vocab))
     load_into(model, args.checkpoint)
     report = evaluate_metrics(model, dataset.split("test"), len(dataset.vocab),
@@ -158,18 +154,25 @@ def _run_grid(variants, dataset, out_dir, csv_name, fieldnames):
     print(f"{csv_name} written with {len(rows)} rows")
 
 
-def _grid_config(args):
-    """The run config of a grid command. The grids vary the interaction path
-    and the loss weight gamma, which only a multimodal model has."""
-    cfg = load_config(args)
+def _grid_problems(args, cfg):
+    """The problems of a grid command's config and grid. The grids vary the
+    interaction path and the loss weight gamma, which only a multimodal
+    model has, and ablate's MLF-off variants are the ones at gamma 0."""
+    problems = []
     if cfg.modality != "multimodal":
-        raise ConfigError([f"{args.command} needs modality 'multimodal', got {cfg.modality!r}: "
-                           "a unimodal model has no interaction path and ignores gamma"])
-    return cfg
+        problems.append(f"{args.command} needs modality 'multimodal', got {cfg.modality!r}: "
+                        "a unimodal model has no interaction path and ignores gamma")
+    if args.command == "ablate" and cfg.decision.gamma == 0:
+        problems.append(f"ablate needs decision.gamma > 0, got {cfg.decision.gamma}: its "
+                        "MLF=0 variants set gamma to 0, so every MLF=1 row would repeat one")
+    bad = [g for g in getattr(args, "grid", ()) if not 0.0 <= g <= 0.5]
+    if bad:
+        problems.append(f"gamma grid values outside [0, 0.5]: {bad}")
+    return problems
 
 
 def cmd_ablate(args):
-    cfg, dataset = _dataset_for(_grid_config(args))
+    cfg, dataset = load_run(args, _grid_problems)
     os.makedirs(args.out, exist_ok=True)
     variants = []
     for ham, rm, mlf in itertools.product((True, False), repeat=3):
@@ -187,16 +190,11 @@ def cmd_ablate(args):
 
 
 def cmd_gamma_sweep(args):
-    cfg = _grid_config(args)
-    grid = GAMMA_GRID if args.grid is None else tuple(args.grid)
-    bad = [g for g in grid if not 0.0 <= g <= 0.5]
-    if bad:
-        raise ConfigError([f"gamma grid values outside [0, 0.5]: {bad}"])
-    cfg, dataset = _dataset_for(cfg)
+    cfg, dataset = load_run(args, _grid_problems)
     os.makedirs(args.out, exist_ok=True)
     variants = [({"gamma": _fmt(gamma)},
                  replace(cfg, decision=replace(cfg.decision, gamma=gamma)), None)
-                for gamma in grid]
+                for gamma in args.grid]
     _run_grid(variants, dataset, args.out, "gamma_sweep.csv",
               ["gamma", "accuracy", "macro_F1", "error"])
     with open(os.path.join(args.out, "gamma_sweep_notes.json"), "w") as fh:
@@ -209,7 +207,7 @@ def cmd_gamma_sweep(args):
 
 
 def cmd_bench_attention(args):
-    cfg = load_config(args)
+    cfg, _ = load_run(args, generate_data=False)
     if args.repeats < 10:
         raise ConfigError([f"bench repeats must be >= 10, got {args.repeats}"])
     rows = bench_attention(
@@ -234,11 +232,13 @@ def cmd_bench_attention(args):
 # wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, out_default, *overrides):
+def _add_common(p, out_default, *flags):
     p.add_argument("--config", help="JSON run configuration")
     p.add_argument("--out", default=out_default, help="output directory")
-    for flag in overrides:
-        p.add_argument(f"--{flag}", default=None, **OVERRIDES[flag][2])
+    for flag in flags:
+        options = OVERRIDES[flag][2] if flag in OVERRIDES else \
+            {"help": "dataset directory (default: generate from config)"}
+        p.add_argument(f"--{flag}", default=None, **options)
 
 
 def build_parser():
@@ -269,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("gamma-sweep", help="train across the gamma grid")
     _add_common(p, "gamma_sweep", "seed", "vote", "data", "epochs")
-    p.add_argument("--grid", type=float, nargs="+", default=None)
+    p.add_argument("--grid", type=float, nargs="+", default=GAMMA_GRID)
     p.set_defaults(func=cmd_gamma_sweep)
 
     p = sub.add_parser("bench-attention", help="time the fusion topologies")

@@ -266,7 +266,7 @@ def _unsampled(spec) -> Dataset:
 def generate(spec: SyntheticSpec) -> Dataset:
     problems = spec.validate()
     if problems:
-        raise DatasetError("invalid synthetic spec: " + "; ".join(problems))
+        raise ConfigError(problems)
     ds = _unsampled(spec)
     filler_lo = ds.vocab["w0"]      # filler words follow the keywords
     n_train, n_val, _n_test = split_counts(spec)

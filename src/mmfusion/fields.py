@@ -2,11 +2,11 @@
 bounds and its JSON form.
 
 A field's type is its annotation, read as a string (the modules use
-``from __future__ import annotations``): ``int``, ``float``, ``bool`` or
-``str`` (each optionally ``| None``), a fixed-length ``tuple[...]`` of
-those, or a nested section dataclass. Its bounds are declared where the
-field is defined, with ``bounded``. ``field_problems`` checks both;
-``validate`` methods add only the rules that relate two fields.
+``from __future__ import annotations``): ``int``, ``float`` (finite),
+``bool`` or ``str``, a fixed-length ``tuple[...]`` of those, or a nested
+section dataclass. Its bounds are declared where the field is defined,
+with ``bounded``. ``field_problems`` checks both; ``validate`` methods add
+only the rules that relate two fields.
 ``from_dict`` reads the JSON form, where a tuple is a list and a document
 names only the fields it changes.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 
 
 class ConfigError(ValueError):
@@ -50,10 +51,7 @@ def bounded(default, lo=None, hi=None, lo_open=False, choices=None, label=None):
                              metadata={"bounds": (lo, hi, lo_open, choices, label)})
 
 
-def _type_problem(name, annotation, value):
-    kind, _, rest = annotation.partition(" | ")
-    if rest == "None" and value is None:
-        return None
+def _type_problem(name, kind, value):
     if kind.startswith("tuple["):
         items = kind[len("tuple["):-1].split(", ")
         check, _, what = _CHECKS[items[0]]
@@ -64,6 +62,10 @@ def _type_problem(name, annotation, value):
         check, what, _ = _CHECKS[kind]
         if not check(value):
             return f"{name} must be {what}, got {value!r}"
+    # JSON's Infinity and NaN, and an integer past float range, are no float
+    if "float" in kind and not all(-sys.float_info.max <= v <= sys.float_info.max
+                                   for v in (value if "[" in kind else (value,))):
+        return f"{name} must be finite, got {value!r}"
     return None
 
 

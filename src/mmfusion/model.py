@@ -74,21 +74,19 @@ class RunConfig:
     decision: DecisionSettings = field(default_factory=DecisionSettings)
     trainer: TrainerSettings = field(default_factory=TrainerSettings)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
-    dataset_path: str | None = None
     modality: str = bounded("multimodal", choices=MODALITIES)
     seed: int = bounded(0, lo=0)
 
     def validate(self):
-        """Every problem of every section (``data`` only when the dataset is
-        generated from it), then the top-level fields'. A model that reads
-        text needs ``text_encoder.max_len`` positions for the widest padded
-        batch that ``data.sentence_len`` allows; that rule, the attention
-        budget and the parameter budget read ``data`` either way, and a loaded
-        dataset's spec replaces it before the model is built."""
+        """Every problem of every section, then the top-level fields'. A
+        model that reads text needs ``text_encoder.max_len`` positions for
+        the widest padded batch that ``data.sentence_len`` allows; that rule,
+        the attention budget and the parameter budget read ``data``, the
+        spec of the data the model is built for."""
         problems = []
         for f in fields(self):
             section = getattr(self, f.name)
-            if is_dataclass(section) and (f.name != "data" or self.dataset_path is None):
+            if is_dataclass(section):
                 problems += [f"{f.name}: {p}" for p in section.validate()]
         if self.text_encoder.d_model != self.image_encoder.d_model:
             problems.append(

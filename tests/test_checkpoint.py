@@ -49,6 +49,14 @@ def test_truncated_binary_names_offset(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_bytes_after_the_last_entry_are_rejected(tmp_path):
+    save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
+    with open(tmp_path / "weights.bin", "ab") as fh:
+        fh.write(bytes(22))
+    with pytest.raises(CheckpointError, match="has 22 bytes after its last entry"):
+        load_checkpoint(tmp_path)
+
+
 def test_tampered_offset_is_detected(tmp_path):
     m = TinyModule()
     save_checkpoint(list(m.named_parameters()), tmp_path)

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mmfusion.cli import main
+from mmfusion.cli import build_parser, main
 from mmfusion.model import RunConfig
 from test_fields import leaves
-from test_notebooks import package_env
+from test_notebooks import ROOT, package_env
 
 TINY = {
     "text_encoder": {"d_model": 16, "n_heads": 2, "n_layers": 1, "ffn_width": 32,
@@ -165,6 +167,25 @@ class TestGenerateAndEval:
                      "--out", str(tmp_path / "run")]) == 2
         assert "text_encoder.max_len 16 is shorter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"data": {"vocab_size": 100000}, "text_encoder": {"embedding_dim": 1024}},
+        {"data": {"image_size": 256, "patch_size": 1}},
+        {"data": {"sentence_len": [4, 40]}},
+    ], ids=["parameters", "attention", "max_len"])
+    def test_config_is_checked_against_the_loaded_spec_alone(self, tmp_path, doc):
+        # each config is over a budget or rule for its own data section, and
+        # within them for the default dataset that --data loads instead
+        data_dir = str(tmp_path / "ds")
+        assert main(["generate", "--out", data_dir]) == 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--data", data_dir, "--epochs", "0",
+                     "--out", str(run_dir)]) == 0
+        recorded = json.loads((run_dir / "run_config.json").read_text())
+        assert recorded["data"] == json.loads(json.dumps(RunConfig().to_dict()["data"]))
+        assert "dataset_path" not in recorded
+
     def test_generate_from_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(TINY["data"]))
@@ -211,6 +232,17 @@ class TestMalformedInput:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and needle in err
+
+    def test_infinite_learning_rate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"trainer": {"lr_other": Infinity, "epochs": 1}, '
+                        '"data": {"samples_per_class": 10}}')
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: trainer: lr_other must be finite, got inf" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", SIZE_FIELDS)
     def test_oversized_field_exits_2(self, tmp_path, capsys, field):
@@ -376,6 +408,18 @@ class TestCorruptCheckpoint:
         assert main(["eval", "--config", config, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 4
         assert "crc32" in capsys.readouterr().err
+
+    def test_bytes_after_the_last_entry_exit_4(self, trained_checkpoint, tmp_path, capsys):
+        config, good = trained_checkpoint
+        bad = tmp_path / "checkpoint"
+        shutil.copytree(good, bad)
+        with open(bad / "weights.bin", "ab") as fh:
+            fh.write(bytes(22))
+        assert main(["eval", "--config", config, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 4
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "22 bytes after its last entry" in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("edit", [_first_nan, _all_huge],
                              ids=["nan_weight", "huge_weights"])
@@ -813,6 +857,17 @@ class TestAblate:
         assert len(failed) == 1 and "synthetic failure" in failed[0]["error"]
         assert sum(1 for r in rows if r["accuracy"]) == 7
 
+    def test_gamma_zero_exits_2(self, tiny_config, tmp_path, capsys):
+        # the MLF=0 variants set gamma to 0, so at gamma 0 the MLF=1 rows repeat them
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", tiny_config, "--gamma", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: ablate needs decision.gamma > 0, got 0.0: its MLF=0 "
+                "variants set gamma to 0, so every MLF=1 row would repeat one") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGammaSweep:
     def test_default_grid_six_rows_echoing_gammas(self, tiny_config, tmp_path):
@@ -891,6 +946,18 @@ class TestFlags:
         path = tmp_path / "learned.json"
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+
+
+def test_readme_table_lists_the_flags_each_subcommand_registers():
+    rows = re.findall(r"^\| (`.+?) \| (.+) \|$", (ROOT / "README.md").read_text(), re.M)
+    listed = {command: sorted(re.findall(r"`(--[\w-]+)", flags))
+              for commands, flags in rows for command in re.findall(r"`([\w-]+)`", commands)}
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    registered = {command: sorted(flag for a in p._actions for flag in a.option_strings
+                                  if flag not in ("--config", "--out", "-h", "--help"))
+                  for command, p in subcommands.items()}
+    assert listed == registered
 
 
 class TestBench:

@@ -7,9 +7,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mmfusion.data import (DatasetError, DatasetIOError, SyntheticSpec,
-                           generate, load_dataset, make_image_batch,
-                           make_text_batch, save_dataset)
+from mmfusion.data import (DatasetIOError, SyntheticSpec, generate, load_dataset,
+                           make_image_batch, make_text_batch, save_dataset)
+from mmfusion.fields import ConfigError
 
 
 def tiny_spec(**kw):
@@ -63,7 +63,7 @@ class TestGenerate:
             assert ds.keyword_of[s.label] in s.tokens
 
     def test_vocab_too_small_rejected(self):
-        with pytest.raises(DatasetError, match="vocab"):
+        with pytest.raises(ConfigError, match="vocab"):
             generate(tiny_spec(vocab_size=6))
 
     def test_odd_class_counts_keep_modalities_ambiguous(self):
