@@ -1,10 +1,10 @@
 """Bit-exact parameter serialization.
 
 Layout: a directory with ``manifest.json`` mapping parameter name to
-{shape, dtype, offset, length, crc32} and ``weights.bin`` holding the
-little-endian raw buffers concatenated in manifest order. ``crc32`` is the
-``zlib.crc32`` of the entry's bytes, so a same-size corruption of
-``weights.bin`` is caught on load instead of loading as other weights.
+{shape, dtype, crc32} and ``weights.bin`` holding the little-endian raw
+buffers back to back in manifest order. ``crc32`` is the ``zlib.crc32`` of
+the entry's bytes, so a same-size corruption of ``weights.bin`` is caught on
+load instead of loading as other weights.
 """
 
 from __future__ import annotations
@@ -28,35 +28,30 @@ class CheckpointError(IOError):
 def save_checkpoint(named_params, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     manifest = {}
-    offset = 0
-    chunks = []
-    for name, p in named_params:
-        arr = np.ascontiguousarray(p.data.astype(_LE[str(p.data.dtype)]))
-        raw = arr.tobytes()
-        manifest[name] = {
-            "shape": list(arr.shape),
-            "dtype": str(p.data.dtype),
-            "offset": offset,
-            "length": len(raw),
-            "crc32": zlib.crc32(raw),
-        }
-        chunks.append(raw)
-        offset += len(raw)
     with open(os.path.join(out_dir, "weights.bin"), "wb") as fh:
-        for raw in chunks:
+        for name, p in named_params:
+            dtype = str(p.data.dtype)
+            raw = p.data.astype(_LE[dtype]).tobytes()
             fh.write(raw)
+            manifest[name] = {"shape": list(p.data.shape), "dtype": dtype,
+                              "crc32": zlib.crc32(raw)}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
 
 
 def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into {name: ndarray}.
+    """Read a checkpoint directory back into {name: ndarray}, walking the
+    manifest in order: each entry's bytes start where the previous entry's
+    end, so no entry can point at another's. Other keys than ``shape``,
+    ``dtype`` and ``crc32``, such as the ``offset`` and ``length`` that older
+    checkpoints store, are ignored.
 
     Anything that does not describe a whole checkpoint raises
     ``CheckpointError``: an unreadable file, a manifest that is not a JSON
-    object of entries, an entry without an integer ``offset``/``length``/
-    ``crc32``, a ``shape`` list or a known ``dtype``, bytes that do not fit
-    it or fail its checksum, or bytes after the last entry.
+    object of entries, an entry without an integer ``crc32``, a ``shape``
+    list numpy can build or a known ``dtype``, an entry that runs past the
+    end of ``weights.bin`` or fails its checksum, or bytes after the last
+    entry.
     """
     try:
         with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
@@ -69,11 +64,12 @@ def load_checkpoint(ckpt_dir):
         raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt manifest.json at {ckpt_dir}: not a JSON object")
-    weights = {name: _read_entry(name, meta, blob) for name, meta in manifest.items()}
-    end = max((meta["offset"] + meta["length"] for meta in manifest.values()), default=0)
-    if len(blob) != end:
+    weights, start = {}, 0
+    for name, meta in manifest.items():
+        weights[name], start = _read_entry(name, meta, blob, start)
+    if len(blob) != start:
         raise CheckpointError(
-            f"weights.bin at {ckpt_dir} has {len(blob) - end} bytes after its last entry")
+            f"weights.bin at {ckpt_dir} has {len(blob) - start} bytes after its last entry")
     return weights
 
 
@@ -81,33 +77,30 @@ def _is_count(v):
     return is_int(v) and v >= 0
 
 
-def _read_entry(name, meta, blob):
-    fields = ("offset", "length", "shape", "dtype", "crc32")
+def _read_entry(name, meta, blob, start):
+    """Entry ``name``'s array, read from ``blob`` at ``start``, and its end."""
+    fields = ("shape", "dtype", "crc32")
     if not isinstance(meta, dict) or any(f not in meta for f in fields):
         raise CheckpointError(f"manifest entry '{name}' needs fields {list(fields)}")
-    start, length, shape, dtype, crc = (meta[f] for f in fields)
+    shape, dtype, crc = (meta[f] for f in fields)
     if not isinstance(dtype, str) or dtype not in _LE:
         raise CheckpointError(f"manifest entry '{name}': unknown dtype {dtype!r}")
-    if not (_is_count(start) and _is_count(length) and _is_count(crc)
-            and isinstance(shape, list) and all(_is_count(n) for n in shape)):
+    if not (_is_count(crc) and isinstance(shape, list) and all(_is_count(n) for n in shape)):
+        raise CheckpointError(f"corrupt manifest entry '{name}': crc32 {crc!r}, shape {shape!r}")
+    stop = start + math.prod(shape) * np.dtype(_LE[dtype]).itemsize
+    if stop > len(blob):
         raise CheckpointError(
-            f"corrupt manifest entry '{name}': offset {start!r}, length {length!r}, "
-            f"crc32 {crc!r}, shape {shape!r}")
-    if start + length > len(blob):
-        raise CheckpointError(
-            f"weights.bin truncated: '{name}' needs bytes [{start}, {start + length}) "
+            f"weights.bin truncated: '{name}' needs bytes [{start}, {stop}) "
             f"but file has {len(blob)}")
-    itemsize = np.dtype(_LE[dtype]).itemsize
-    expect = math.prod(shape)
-    if length != expect * itemsize:
+    raw = memoryview(blob)[start:stop]
+    if zlib.crc32(raw) != crc:
         raise CheckpointError(
-            f"corrupt manifest entry '{name}' at offset {start}: {length} bytes != "
-            f"{expect} values of shape {shape}")
-    if zlib.crc32(memoryview(blob)[start:start + length]) != crc:
-        raise CheckpointError(
-            f"weights.bin bytes [{start}, {start + length}) of '{name}' fail their crc32")
-    arr = np.frombuffer(blob, dtype=_LE[dtype], count=expect, offset=start)
-    return arr.reshape(shape).astype(dtype)
+            f"weights.bin bytes [{start}, {stop}) of '{name}' fail their crc32")
+    try:
+        arr = np.frombuffer(raw, dtype=_LE[dtype]).reshape(shape)
+    except ValueError as exc:   # more axes or a larger axis than numpy allows
+        raise CheckpointError(f"manifest entry '{name}': shape {shape}: {exc}") from exc
+    return arr.astype(dtype), stop
 
 
 def load_into(module, ckpt_dir):

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import math
 import os
+import pathlib
+import shutil
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmfusion.checkpoint import CheckpointError, load_checkpoint, load_into, save_checkpoint
 from mmfusion.fusion import TOPOLOGIES
@@ -40,6 +46,59 @@ def test_save_load_save_produces_identical_files(tmp_path):
     assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
 
+def with_offsets(manifest):
+    """``manifest`` as checkpoints were once written: each entry also stores
+    its byte offset and length in ``weights.bin``, whose entries lie back to
+    back in manifest order."""
+    old, offset = {}, 0
+    for name, entry in manifest.items():
+        length = math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize
+        old[name] = {"shape": entry["shape"], "dtype": entry["dtype"], "offset": offset,
+                     "length": length, "crc32": entry["crc32"]}
+        offset += length
+    return old
+
+
+def test_checkpoint_in_the_older_layout_loads_the_same(tmp_path):
+    new, old = tmp_path / "new", tmp_path / "old"
+    save_checkpoint(list(TinyModule().named_parameters()), new)
+    shutil.copytree(new, old)
+    with open(old / "manifest.json", "w") as fh:
+        json.dump(with_offsets(json.loads((new / "manifest.json").read_text())), fh, indent=1)
+    want, got = load_checkpoint(new), load_checkpoint(old)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes()
+
+
+_NAMED_ARRAYS = st.lists(
+    st.tuples(st.text(max_size=6),
+              hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                         hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))),
+    max_size=5, unique_by=lambda pair: pair[0])
+
+
+@settings(deadline=None, max_examples=100)
+@given(named=_NAMED_ARRAYS)
+def test_save_load_round_trip_property(named):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = pathlib.Path(tmp, "first"), pathlib.Path(tmp, "second")
+        save_checkpoint([(name, Tensor(arr)) for name, arr in named], first)
+        loaded = load_checkpoint(first)
+        save_checkpoint([(name, Tensor(arr)) for name, arr in loaded.items()], second)
+        assert list(loaded) == [name for name, _ in named]
+        for name, arr in named:
+            got = loaded[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape
+            assert got.tobytes() == arr.tobytes()
+        for f in ("manifest.json", "weights.bin"):
+            assert (first / f).read_bytes() == (second / f).read_bytes()
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert all(sorted(entry) == ["crc32", "dtype", "shape"] for entry in manifest.values())
+        assert len((first / "weights.bin").read_bytes()) == sum(
+            math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in manifest.values())
+
+
 def test_truncated_binary_names_offset(tmp_path):
     m = TinyModule()
     save_checkpoint(list(m.named_parameters()), tmp_path)
@@ -57,13 +116,41 @@ def test_bytes_after_the_last_entry_are_rejected(tmp_path):
         load_checkpoint(tmp_path)
 
 
-def test_tampered_offset_is_detected(tmp_path):
+def test_tampered_shape_is_detected(tmp_path):
     m = TinyModule()
     save_checkpoint(list(m.named_parameters()), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["w"]["length"] -= 4
+    manifest["w"]["shape"] = [3, 3]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="offset"):
+    with pytest.raises(CheckpointError, match="'w' fail their crc32"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {**m, "b": {**m["b"], "crc32": m["a"]["crc32"]}},
+    lambda m: {name: m[name] for name in ("b", "a", "c")},
+], ids=["crc32_of_another_entry", "entries_swapped"])
+def test_an_entry_read_as_another_entrys_bytes_is_rejected(tmp_path, edit):
+    rng = np.random.default_rng(0)
+    save_checkpoint([(name, Tensor(rng.standard_normal((2, 3)))) for name in "abc"], tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps(edit(manifest)))
+    with pytest.raises(CheckpointError, match="'b' fail their crc32"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["w"].update(shape=[3, 4] + [1] * 70),
+    # an entry as older checkpoints wrote it; the loader ignores offset and length
+    lambda m: m.update(huge={"shape": [0, 2**70], "dtype": "float32", "offset": 0,
+                             "length": 0, "crc32": 0}),
+], ids=["more_than_64_axes", "axis_past_numpy_limit"])
+def test_shape_numpy_cannot_build_is_rejected(tmp_path, edit):
+    save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="': shape \\["):
         load_checkpoint(tmp_path)
 
 
@@ -113,12 +200,12 @@ def test_missing_checkpoint_dir_raises_io_error(tmp_path):
 @pytest.mark.parametrize("manifest", [
     "{not json",
     "[]",
-    json.dumps({"w": {"offset": 0, "length": 48, "shape": [3, 4]}}),
-    json.dumps({"w": {"offset": "0", "length": 48, "shape": [3, 4], "dtype": "float32"}}),
-    json.dumps({"w": {"offset": 0, "length": 48, "shape": 12, "dtype": "float32"}}),
-    json.dumps({"w": {"offset": 0, "length": 48, "shape": [3, 4], "dtype": "int8"}}),
+    json.dumps({"w": {"shape": [3, 4], "crc32": 0}}),
+    json.dumps({"w": {"shape": [3, 4], "dtype": "float32", "crc32": "0"}}),
+    json.dumps({"w": {"shape": 12, "dtype": "float32", "crc32": 0}}),
+    json.dumps({"w": {"shape": [3, 4], "dtype": "int8", "crc32": 0}}),
     json.dumps({"w": 7}),
-], ids=["invalid_json", "not_an_object", "no_dtype", "string_offset", "int_shape",
+], ids=["invalid_json", "not_an_object", "no_dtype", "string_crc32", "int_shape",
         "unknown_dtype", "entry_not_an_object"])
 def test_malformed_manifest_raises_checkpoint_error(tmp_path, manifest):
     save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
@@ -138,10 +225,8 @@ def test_load_into_rejects_dtype_mismatch(tmp_path):
 
 
 def test_load_into_rejects_unexpected_keys(tmp_path):
-    save_checkpoint(list(TinyModule().named_parameters()), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["vote.vote_logits"] = dict(manifest["b"])
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    m = TinyModule()
+    save_checkpoint(list(m.named_parameters()) + [("vote.vote_logits", m.b)], tmp_path)
     target = TinyModule(seed=9)
     before = target.w.data.copy()
     with pytest.raises(CheckpointError, match="'vote.vote_logits'"):

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mmfusion.checkpoint import load_checkpoint, save_checkpoint
 from mmfusion.cli import build_parser, main
 from mmfusion.model import RunConfig
+from mmfusion.tensor import Tensor
+from test_checkpoint import with_offsets
 from test_fields import leaves
 from test_notebooks import ROOT, package_env
 
@@ -89,7 +92,6 @@ class TestTrain:
         assert main(["train", "--config", tiny_config, "--out", out,
                      "--epochs", "0"]) == 0
         # checkpoint equals a freshly built model's parameters
-        from mmfusion.checkpoint import load_checkpoint
         from mmfusion.data import generate
         from mmfusion.model import MultimodalClassifier
         cfg = RunConfig.from_dict(json.loads(open(tiny_config).read()))
@@ -329,8 +331,36 @@ def _unknown_dtype(manifest):
 
 
 def _extra_entry(manifest):
-    # what a hybrid checkpoint with the removed learned vote carried
-    manifest["vote.vote_logits"] = dict(next(iter(manifest.values())))
+    # a parameter the model lacks, as hybrid checkpoints with the removed
+    # learned vote carried; it holds no values, so weights.bin still fits
+    manifest["vote.vote_logits"] = {"shape": [0], "dtype": "float32", "crc32": 0}
+    return json.dumps(manifest)
+
+
+def _crc32_of_the_next_entry(manifest):
+    first, second = list(manifest.values())[:2]
+    first["crc32"] = second["crc32"]
+    return json.dumps(manifest)
+
+
+def _pos_emb_reads_word_emb(manifest):
+    # in the older layout, which stored offsets, an entry pointed at the bytes
+    # of another entry of its shape
+    old = with_offsets(manifest)
+    for field in ("offset", "crc32"):
+        old["text_encoder.pos_emb"][field] = old["text_encoder.word_emb"][field]
+    return json.dumps(old)
+
+
+def _more_than_64_axes(manifest):
+    next(iter(manifest.values()))["shape"] += [1] * 70
+    return json.dumps(manifest)
+
+
+def _axis_past_numpy_limit(manifest):
+    # an entry as older checkpoints wrote it; the loader ignores offset and length
+    manifest["huge"] = {"shape": [0, 2**70], "dtype": "float32", "offset": 0, "length": 0,
+                        "crc32": 0}
     return json.dumps(manifest)
 
 
@@ -351,21 +381,13 @@ def _last_nan(values):
 
 
 def _edit_patch_proj(good, bad, edit):
-    """Copy checkpoint ``good`` to ``bad`` with ``edit`` applied in place to
-    the image patch projection's weights. The entry's crc32 is recomputed,
-    so the checkpoint loads and only the numbers are wrong; attention's
-    softmax input goes non-finite."""
-    shutil.copytree(good, bad)
-    manifest = json.loads((good / "manifest.json").read_text())
-    entry = manifest["image_encoder.patch_proj.weight"]
-    start, stop = entry["offset"], entry["offset"] + entry["length"]
-    blob = bytearray((good / "weights.bin").read_bytes())
-    weights = np.frombuffer(bytes(blob[start:stop]), dtype="<f4").copy()
-    edit(weights)
-    blob[start:stop] = weights.tobytes()
-    entry["crc32"] = zlib.crc32(weights.tobytes())
-    (bad / "weights.bin").write_bytes(bytes(blob))
-    (bad / "manifest.json").write_text(json.dumps(manifest))
+    """Save checkpoint ``good`` as ``bad`` with ``edit`` applied in place to
+    the flattened image patch projection's weights, so the checkpoint loads
+    and only the numbers are wrong; attention's softmax input goes
+    non-finite."""
+    weights = load_checkpoint(good)
+    edit(weights["image_encoder.patch_proj.weight"].reshape(-1))
+    save_checkpoint([(name, Tensor(arr)) for name, arr in weights.items()], bad)
     return bad
 
 
@@ -382,10 +404,12 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize("mutate", [
         lambda m: json.dumps(m)[:len(json.dumps(m)) // 2],
         lambda m: "[1, 2]",
-        _drop("offset"), _drop("length"), _drop("shape"), _drop("dtype"),
-        _unknown_dtype, _extra_entry,
-    ], ids=["partial", "not_an_object", "no_offset", "no_length", "no_shape",
-            "no_dtype", "unknown_dtype", "extra_entry"])
+        _drop("crc32"), _crc32_of_the_next_entry, _drop("shape"), _drop("dtype"),
+        _unknown_dtype, _extra_entry, _pos_emb_reads_word_emb, _more_than_64_axes,
+        _axis_past_numpy_limit,
+    ], ids=["partial", "not_an_object", "no_crc32", "crc32_of_the_next_entry", "no_shape",
+            "no_dtype", "unknown_dtype", "extra_entry", "older_layout_overlap",
+            "more_than_64_axes", "axis_past_numpy_limit"])
     def test_eval_exits_4(self, trained_checkpoint, tmp_path, capsys, mutate):
         config, good = trained_checkpoint
         bad = tmp_path / "checkpoint"
@@ -394,7 +418,8 @@ class TestCorruptCheckpoint:
         (bad / "manifest.json").write_text(mutate(manifest))
         assert main(["eval", "--config", config, "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")]) == 4
-        assert "i/o error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "Traceback" not in err
 
     def test_flipped_byte_exits_4(self, trained_checkpoint, tmp_path, capsys):
         # the lowest mantissa bit of the first weight: a finite, same-size
@@ -488,7 +513,7 @@ def _fuzz_checkpoint_file(read, data):
             del entry[field]
         else:
             entry[field] = data.draw(st.sampled_from(
-                [None, True, -1, 1.5, 2**70, "7", [], {}, [3, 4]]), label="value")
+                [None, True, -1, 1.5, 2**70, "7", [], {}, [3, 4], [1] * 70]), label="value")
     return name, json.dumps(manifest).encode()
 
 
