@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import FULL_SCALE_REFERENCE, bench_attention
 from .checkpoint import load_into, save_checkpoint
-from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate,
+from .data import (MIN_TEXT_WIDTH, DatasetError, DatasetIOError, SyntheticSpec, generate,
                    load_dataset, save_dataset)
 from .decision import VOTE_STRATEGIES
 from .fields import ConfigError, from_dict
@@ -210,10 +210,13 @@ def cmd_bench_attention(args):
     cfg, _ = load_run(args, generate_data=False)
     if args.repeats < 10:
         raise ConfigError([f"bench repeats must be >= 10, got {args.repeats}"])
+    data = cfg.data     # the widest text batch and the patch count, as the attention budget
     rows = bench_attention(
         d=cfg.text_encoder.d_model, n_heads=cfg.text_encoder.n_heads,
         ffn_width=cfg.text_encoder.ffn_width, batch=cfg.trainer.batch_size,
-        repeats=args.repeats, seed=cfg.seed)
+        text_len=max(MIN_TEXT_WIDTH, data.sentence_len[1]),
+        image_len=(data.image_size // data.patch_size) ** 2, repeats=args.repeats,
+        seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bench.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["topology", "parameters",

@@ -5,7 +5,11 @@ sets how many classes it identifies uniquely: the remaining classes share a
 pattern (or keyword) pairwise, so no lookup rule can separate them from that
 modality alone. Pattern-unique and keyword-unique classes are complementary
 subsets, which makes the fused pair fully identifying whenever the two
-informativeness fractions cover all classes.
+informativeness fractions cover all classes: floor(i*n) + floor(j*n) >= n
+for n classes at fractions i and j. The one covering family where the
+pairwise sharing cannot keep that promise, two classes each unique in one
+modality (a lone leftover joins the unique class's group on both sides),
+is rejected by ``SyntheticSpec.validate``; every spec it accepts keeps it.
 
 The generator certifies this structure before any training run by scoring
 exhaustive lookup-table classifiers over its own assignment tables.
@@ -68,6 +72,15 @@ class SyntheticSpec:
             problems.append(
                 f"split ratios {self.split_ratios} leave a class without a train or "
                 f"test sample at {self.samples_per_class} samples per class")
+        # fractions that cover every class promise each class its own pair
+        n, i, j = self.n_classes, self.image_informativeness, self.text_informativeness
+        if np.floor(i * n) + np.floor(j * n) >= n:
+            pattern, keyword = _class_groups(self)
+            pairs = np.sort(pattern * n + keyword)
+            if (pairs[1:] == pairs[:-1]).any():
+                problems.append(
+                    f"informativeness {i} (image) and {j} (text) cover all {n} classes, but "
+                    "two classes get the same pattern and keyword, so no pair identifies them")
         # keyword ids + a handful of filler words must fit the vocabulary
         if self.vocab_size < 2 + self.n_classes + 4:
             problems.append(
@@ -128,27 +141,23 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _assign_groups(n_classes, n_unique, from_front):
-    """Group labels for one modality: ``n_unique`` classes get their own
-    group, the rest share groups pairwise (a lone remainder joins the last
-    pair so it can never become accidentally unique)."""
-    order = list(range(n_classes)) if from_front else list(range(n_classes))[::-1]
-    group = [0] * n_classes
-    gid = 0
-    for c in order[:n_unique]:
-        group[c] = gid
-        gid += 1
-    shared = order[n_unique:]
-    while shared:
-        chunk, shared = shared[:2], shared[2:]
-        if len(chunk) == 1:
-            # a lone leftover joins the previous group (shared or unique)
-            # so no class sneaks back to being identifiable
-            group[chunk[0]] = gid - 1
-            continue
-        for c in chunk:
-            group[c] = gid
-        gid += 1
-    return group
+    """Group labels for one modality as an int array: ``n_unique`` classes
+    from the front (or the back) get their own group, the rest share groups
+    pairwise, and a lone leftover joins the group before it (shared or
+    unique) so that no class sneaks back to being identifiable."""
+    group = np.arange(n_classes)
+    group[n_unique:] = n_unique + (group[n_unique:] - n_unique) // 2
+    if (n_classes - n_unique) % 2:
+        group[-1] -= 1
+    return group if from_front else group[::-1]
+
+
+def _class_groups(spec):
+    """Per class, its pattern group and its keyword group. The image side
+    counts unique classes from the front, the text side from the back."""
+    n = spec.n_classes
+    return (_assign_groups(n, int(np.floor(spec.image_informativeness * n)), from_front=True),
+            _assign_groups(n, int(np.floor(spec.text_informativeness * n)), from_front=False))
 
 
 def _lookup_accuracy(groups, counts):
@@ -247,11 +256,7 @@ def _unsampled(spec) -> Dataset:
     """The dataset of ``spec`` before any sample is drawn. Its vocabulary,
     class tables and self-check are functions of the spec alone, so
     ``generate`` and ``load_dataset`` both rebuild them here."""
-    n = spec.n_classes
-    pattern_groups = _assign_groups(n, int(np.floor(spec.image_informativeness * n)),
-                                    from_front=True)
-    keyword_groups = _assign_groups(n, int(np.floor(spec.text_informativeness * n)),
-                                    from_front=False)
+    pattern_groups, keyword_groups = (g.tolist() for g in _class_groups(spec))
     self_check = _self_check(spec, pattern_groups, keyword_groups)
     keyword_ids = {g: 2 + i for i, g in enumerate(sorted(set(keyword_groups)))}
     filler_lo = 2 + len(keyword_ids)

@@ -23,13 +23,13 @@ UNK_ID = 1
 
 @dataclass
 class EncoderConfig:
-    d_model: int = bounded(64, lo=1, hi=4096)
+    d_model: int = bounded(32, lo=1, hi=4096)
     n_heads: int = bounded(2, lo=1, hi=256)
     n_layers: int = bounded(2, lo=1, hi=256)
-    ffn_width: int = bounded(128, lo=1, hi=16384)
-    embedding_dim: int = bounded(32, lo=1, hi=4096)
+    ffn_width: int = bounded(64, lo=1, hi=16384)
+    embedding_dim: int = bounded(16, lo=1, hi=4096)
     share_layers: bool = True
-    max_len: int = bounded(64, lo=1, hi=4096)
+    max_len: int = bounded(32, lo=1, hi=4096)
 
     def validate(self):
         problems = field_problems(self)

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import tensor as T
 from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
-from .tensor import Module, Tensor, elastic_net_channel, masked_mean
-
-TOPOLOGIES = ("hybrid", "merged", "interaction")
+# elastic_net_channel is re-exported: model.py builds the fusion channels from this module
+from .tensor import Module, Tensor, elastic_net_channel, masked_mean  # noqa: F401
 
 
 def dropout_channel(x: Tensor, p: float, mode: str = "training",
@@ -119,10 +118,6 @@ class TextConvPool(Module):
         self.norm = LayerNorm(d)
 
     def __call__(self, seq: Tensor, pad_mask: np.ndarray):
-        B, D, d = seq.shape
-        if D < 3:
-            raise T.ShapeError(
-                f"text_conv_pool: sequence length {D} < 3; pad the batch first")
         weights = ((self.conv_w1, self.conv_b1), (self.conv_w2, self.conv_b2),
                    (self.conv_w3, self.conv_b3))
         pooled = []
@@ -265,14 +260,15 @@ class InteractionEncoderFusion(Module):
         return _merged_self_attention(self.block, from_image, text_mask, from_text)
 
 
+_PATHS = {"hybrid": HybridAttentionFusion, "merged": MergedAttentionFusion,
+          "interaction": InteractionEncoderFusion}
+TOPOLOGIES = tuple(_PATHS)
+
+
 def build_interaction_path(topology, d, n_heads, ffn_width, rng):
-    if topology == "hybrid":
-        return HybridAttentionFusion(d, n_heads, ffn_width, rng)
-    if topology == "merged":
-        return MergedAttentionFusion(d, n_heads, ffn_width, rng)
-    if topology == "interaction":
-        return InteractionEncoderFusion(d, n_heads, ffn_width, rng)
-    raise ValueError(f"unknown attention topology {topology!r}")
+    if topology not in _PATHS:
+        raise ValueError(f"unknown attention topology {topology!r}")
+    return _PATHS[topology](d, n_heads, ffn_width, rng)
 
 
 def topology_parameter_count(topology, d, ffn_width):

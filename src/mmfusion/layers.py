@@ -7,8 +7,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Module, Tensor
 
-LAYER_NORM_EPS = 1e-5
-
 
 def trunc_normal(rng: np.random.Generator, shape, std=0.02):
     """Truncated-normal init at +-2 std, the usual transformer choice."""
@@ -41,7 +39,7 @@ class LayerNorm(Module):
         self.bias = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class MultiHeadSelfAttention(Module):

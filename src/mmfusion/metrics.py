@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,16 +24,10 @@ class MetricsReport:
     degenerate_classes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "per_class_precision": self.per_class_precision,
-            "per_class_recall": self.per_class_recall,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "confusion": self.confusion.tolist(),
-            "degenerate_classes": self.degenerate_classes,
-        }
+        """Every field in order but ``pr_curves``, which pr_curve.csv holds."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pr_curves"}
+        doc["confusion"] = self.confusion.tolist()
+        return doc
 
 
 def confusion_matrix(pred, labels, n_classes):

@@ -64,12 +64,9 @@ class TrainerSettings:
 
 @dataclass
 class RunConfig:
-    text_encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(
-        d_model=32, n_heads=2, n_layers=2, ffn_width=64, embedding_dim=16,
-        share_layers=True, max_len=32))
+    text_encoder: EncoderConfig = field(default_factory=EncoderConfig)
     image_encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(
-        d_model=32, n_heads=2, n_layers=2, ffn_width=64, embedding_dim=32,
-        share_layers=False, max_len=64))
+        embedding_dim=32, share_layers=False, max_len=64))
     fusion: FusionSettings = field(default_factory=FusionSettings)
     decision: DecisionSettings = field(default_factory=DecisionSettings)
     trainer: TrainerSettings = field(default_factory=TrainerSettings)
@@ -88,18 +85,18 @@ class RunConfig:
             section = getattr(self, f.name)
             if is_dataclass(section):
                 problems += [f"{f.name}: {p}" for p in section.validate()]
-        if self.text_encoder.d_model != self.image_encoder.d_model:
-            problems.append(
-                f"encoder widths differ ({self.text_encoder.d_model} vs "
-                f"{self.image_encoder.d_model}); fusion requires equal widths")
-        text, data = self.text_encoder, self.data
+        text, image, data = self.text_encoder, self.image_encoder, self.data
+        if not (field_problems(text) or field_problems(image)) \
+                and text.d_model != image.d_model:
+            problems.append(f"encoder widths differ ({text.d_model} vs {image.d_model}); "
+                            "fusion requires equal widths")
         if not (field_problems(text) or field_problems(data)):
             width = max(MIN_TEXT_WIDTH, data.sentence_len[1])
             if self.modality != "image" and text.max_len < width:
                 problems.append(
                     f"text_encoder.max_len {text.max_len} is shorter than the widest "
                     f"text batch, {width} tokens (data.sentence_len {data.sentence_len})")
-        sized = (text, self.image_encoder, data, self.fusion, self)    # the counts' inputs
+        sized = (text, image, data, self.fusion, self)    # the counts' inputs
         if not (any(map(field_problems, sized)) or data.validate()):
             # attention works one sample at a time at least, so one sample's
             # [h, L, L] float32 probabilities must fit 1 GiB, for the longest
@@ -107,7 +104,7 @@ class RunConfig:
             # budgets is told of those alone
             patches = (data.image_size // data.patch_size) ** 2
             attended = {"text": ("the text encoder", text.n_heads, width),
-                        "image": ("the image encoder", self.image_encoder.n_heads, patches + 1),
+                        "image": ("the image encoder", image.n_heads, patches + 1),
                         "multimodal": ("the fusion path", text.n_heads, width + patches)}
             for m, (where, h, length) in attended.items():
                 if self.modality in (m, "multimodal") and h * length ** 2 * 4 > 2**30:

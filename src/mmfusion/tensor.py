@@ -60,14 +60,15 @@ Sums along short axes are BLAS products with ones, as Caffe takes its bias
 gradients with a ones "bias multiplier": numpy reduces a short axis several
 times more slowly. ``_row_sum`` gives layer_norm's row sums, forward and
 back, softmax's row totals and the ``(g * y)`` dots of its backward and
-attention's as ``x @ ones``, one BLAS call per trailing [L, d] slice, so a
-row's sum does not depend on the other samples of the batch or on the
-attention tiling. ``_lead_sum`` gives every bias and gain gradient as a gemm
-with two rows of ones, which OpenBLAS never splits along the summed axis, so
-no sum depends on the BLAS thread count. The summation order is BLAS's, not
-numpy's pairwise one; fused nodes and their primitive graphs sum alike, so
-they stay bit-identical to each other. The softmax row max has no product
-form and stays a numpy reduction.
+attention's, each over the last axis (the only one softmax takes), as
+``x @ ones``, one BLAS call per trailing [L, d] slice, so a row's sum does
+not depend on the other samples of the batch or on the attention tiling.
+``_lead_sum`` gives every bias and gain gradient as a gemm with two rows of
+ones, which OpenBLAS never splits along the summed axis, so no sum depends
+on the BLAS thread count. The summation order is BLAS's, not numpy's
+pairwise one; fused nodes and their primitive graphs sum alike, so they
+stay bit-identical to each other. The softmax row max has no product form
+and stays a numpy reduction.
 """
 
 from __future__ import annotations
@@ -229,15 +230,14 @@ def _ones_column(d, dtype):
     return ones
 
 
-def _row_sum(x, axis=-1):
-    """``x.sum(axis=axis, keepdims=True)``. Over the last of 3 or more axes
-    it is ``x @ ones``: numpy makes one BLAS call per trailing [L, d] slice,
-    so a row's sum does not depend on the other samples of a batch or on how
-    attention tiles it. Any other axis, and a 1-D or 2-D operand, keep
-    numpy's sum; one product over a 2-D operand's rows would make a row's
-    sum depend on its place."""
-    if x.ndim < 3 or axis not in (-1, x.ndim - 1):
-        return x.sum(axis=axis, keepdims=True)
+def _row_sum(x):
+    """``x.sum(axis=-1, keepdims=True)``, with 3 or more axes as ``x @ ones``:
+    numpy makes one BLAS call per trailing [L, d] slice. A 1-D or 2-D operand
+    keeps numpy's sum, as one product over a 2-D operand's rows would make a
+    row's sum depend on its place. So no row's sum depends on the other
+    samples of a batch or on how attention tiles it."""
+    if x.ndim < 3:
+        return x.sum(axis=-1, keepdims=True)
     return x @ _ones_column(x.shape[-1], x.dtype)
 
 
@@ -380,10 +380,10 @@ def elastic_net_channel(x: Tensor, alpha: float, beta: float) -> Tensor:
 # normalizers
 # ---------------------------------------------------------------------------
 
-def _softmax_forward(x, axis, where, out=None):
-    """Max-stabilized softmax of array ``x`` along a non-negative ``axis``,
-    built in ``out`` (``x`` itself for a caller that owns it) or a new
-    buffer; ``where`` names the input in the non-finite error. Returns the
+def _softmax_forward(x, where, out=None):
+    """Max-stabilized softmax of array ``x`` along its last axis, built in
+    ``out`` (``x`` itself for a caller that owns it) or a new buffer;
+    ``where`` names the input in the non-finite error. Returns the
     probabilities with the row max and row sum they were built from, which
     ``_softmax_recompute`` turns back into the same probabilities.
 
@@ -391,13 +391,13 @@ def _softmax_forward(x, axis, where, out=None):
     min non-finite, so the two reductions stand in for a full finiteness
     mask.
     """
-    top = x.max(axis=axis, keepdims=True)
+    top = x.max(axis=-1, keepdims=True)
     if not (np.isfinite(top).all() and np.isfinite(x.min())):
         bad = int(np.sum(~np.isfinite(x)))
         raise NonFiniteError(f"{where} has {bad} non-finite entries")
     e = np.subtract(x, top, out=out)
     np.exp(e, out=e)
-    total = _row_sum(e, axis)
+    total = _row_sum(e)
     e /= total
     return e, top, total
 
@@ -411,25 +411,24 @@ def _softmax_recompute(x, top, total):
     return x
 
 
-def _softmax_backward(y, g, axis, out=None):
-    """The input gradient (g - sum(g * y)) * y of a softmax with output ``y``
-    along a non-negative ``axis`` and upstream gradient ``g``, built in
-    ``out`` (``g`` itself for a caller that owns it) or a new buffer."""
-    out = np.subtract(g, _row_sum(g * y, axis), out=out)
+def _softmax_backward(y, g, out=None):
+    """The input gradient (g - sum(g * y)) * y of a last-axis softmax with
+    output ``y`` and upstream gradient ``g``, built in ``out`` (``g`` itself
+    for a caller that owns it) or a new buffer."""
+    out = np.subtract(g, _row_sum(g * y), out=out)
     out *= y
     return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``; slices sum to one."""
-    ndim = x.data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    axis = axis % ndim
-    y = _softmax_forward(x.data, axis, "softmax: input")[0]
+    """Max-stabilized softmax along the last axis (``-1`` or ``ndim - 1``,
+    the only ``axis`` accepted); rows sum to one."""
+    if not x.data.ndim or axis not in (-1, x.data.ndim - 1):
+        raise ShapeError(f"softmax: axis {axis} is not the last axis of shape {x.shape}")
+    y = _softmax_forward(x.data, "softmax: input")[0]
 
     def backward_fn(g):
-        return (_softmax_backward(y, g, axis),)
+        return (_softmax_backward(y, g),)
 
     return _result(y, (x,), backward_fn)
 
@@ -703,7 +702,7 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
     for lo in range(0, B, step):
         hi = min(lo + step, B)
         scores = logits(qh, kh, lo, hi)
-        y, top, total = _softmax_forward(scores, 2, "attention: softmax input", out=scores)
+        y, top, total = _softmax_forward(scores, "attention: softmax input", out=scores)
         _merge_heads(out[lo:hi], y @ vh[lo * h:hi * h], h)
         kept.append((lo, hi, top, total))
     del qh, kh, vh
@@ -735,7 +734,7 @@ def attention(xq: Tensor, xkv: Tensor, n_heads: int, wq: Tensor, wk: Tensor, wv:
                 # in another order
                 gt = np.ascontiguousarray(gt)
             gs = gt @ vh[rows].transpose(0, 2, 1)
-            _softmax_backward(y, gs, 2, out=gs)
+            _softmax_backward(y, gs, out=gs)
             gs *= scale
             _merge_heads(gv[lo:hi], y.transpose(0, 2, 1) @ gt, h)
             _merge_heads(gk[lo:hi], (qh[rows].transpose(0, 2, 1) @ gs).transpose(0, 2, 1), h)

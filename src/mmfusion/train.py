@@ -118,6 +118,6 @@ def evaluate(model, samples, vocab_size, batch_size=32):
     return np.concatenate(probs, axis=0), labels_of(samples)
 
 
-def evaluate_metrics(model, samples, vocab_size, n_classes, batch_size=32):
-    fused, labels = evaluate(model, samples, vocab_size, batch_size=batch_size)
+def evaluate_metrics(model, samples, vocab_size, n_classes):
+    fused, labels = evaluate(model, samples, vocab_size)
     return compute_metrics(fused, labels, n_classes=n_classes)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mmfusion import cli
 from mmfusion.checkpoint import load_checkpoint, save_checkpoint
 from mmfusion.cli import build_parser, main
 from mmfusion.model import RunConfig
@@ -195,6 +196,23 @@ class TestGenerateAndEval:
         assert main(["generate", "--spec", str(spec_path), "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "images.bin"))
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_two_class_spec_without_bimodal_information_exits_2(self, tmp_path, capsys,
+                                                                 command):
+        # at 0.5/0.5 each of the two classes is unique in one modality, and
+        # the two share one pattern and one keyword
+        path = tmp_path / "doc.json"
+        if command == "generate":
+            path.write_text(json.dumps({"n_classes": 2}))
+            argv = ["generate", "--spec", str(path)]
+        else:
+            path.write_text(json.dumps({"data": {"n_classes": 2}}))
+            argv = ["train", "--config", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "same pattern and keyword" in err
+        assert not (tmp_path / "out").exists()
+
     def test_spec_with_unknown_field_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"bogus": 1}))
@@ -234,6 +252,14 @@ class TestMalformedInput:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and needle in err
+
+    def test_mistyped_d_model_is_the_one_problem(self, tmp_path, capsys):
+        # the width-equality rule compares two well-typed widths only
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"text_encoder": {"d_model": "32"}}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: text_encoder: d_model must be an integer, got '32'"]
 
     def test_infinite_learning_rate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -997,6 +1023,28 @@ class TestBench:
             assert int(r["parameters"]) > 0
         ref = json.loads(open(os.path.join(out, "bench_reference.json")).read())
         assert ref["latency_ms"]["hybrid"] == 11.25
+
+    @pytest.mark.parametrize("config, text_len, image_len", [
+        (None, 8, 16),          # the default data: 8-token sentences, 4 x 4 patches
+        (TINY, 5, 4),           # sentence_len [3, 5], an 8-pixel image of 4-pixel patches
+        ({"data": {"sentence_len": [1, 2], "image_size": 30, "patch_size": 3}}, 3, 100),
+    ])
+    def test_times_the_lengths_of_the_configured_data(self, tmp_path, monkeypatch,
+                                                      config, text_len, image_len):
+        seen = {}
+
+        def fake_bench(**kwargs):
+            seen.update(kwargs)
+            return [{"topology": "hybrid", "parameters": 1, "median_ms": 1.0, "p95_ms": 1.0}]
+
+        monkeypatch.setattr(cli, "bench_attention", fake_bench)
+        argv = ["bench-attention", "--out", str(tmp_path / "b")]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert (seen["text_len"], seen["image_len"]) == (text_len, image_len)
 
     def test_too_few_repeats_rejected(self, tiny_config, tmp_path):
         assert main(["bench-attention", "--config", tiny_config,

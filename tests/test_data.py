@@ -1,14 +1,16 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mmfusion.data import (DatasetIOError, SyntheticSpec, generate, load_dataset,
-                           make_image_batch, make_text_batch, save_dataset)
+from mmfusion.data import (DatasetIOError, SyntheticSpec, _assign_groups, _unsampled,
+                           generate, load_dataset, make_image_batch, make_text_batch,
+                           save_dataset)
 from mmfusion.fields import ConfigError
 
 
@@ -71,6 +73,69 @@ class TestGenerate:
                                 text_informativeness=0.4))
         assert ds.self_check["image_unrecoverable_classes"] >= 1
         assert ds.self_check["text_unrecoverable_classes"] >= 3
+
+
+def assign_groups_reference(n_classes, n_unique, from_front):
+    """The group assignment as a loop: unique groups first, then pairs, and
+    a lone leftover joins the group before it."""
+    order = list(range(n_classes)) if from_front else list(range(n_classes))[::-1]
+    group = [0] * n_classes
+    gid = 0
+    for c in order[:n_unique]:
+        group[c] = gid
+        gid += 1
+    shared = order[n_unique:]
+    while shared:
+        chunk, shared = shared[:2], shared[2:]
+        if len(chunk) == 1:
+            group[chunk[0]] = gid - 1
+            continue
+        for c in chunk:
+            group[c] = gid
+        gid += 1
+    return group
+
+
+def test_group_assignment_matches_the_loop_reference():
+    for n in range(2, 70):
+        for n_unique in range(n + 1):
+            for from_front in (True, False):
+                got = _assign_groups(n, n_unique, from_front)
+                assert got.tolist() == assign_groups_reference(n, n_unique, from_front)
+
+
+class TestCoverage:
+    """Fractions i and j cover n classes when floor(i*n) + floor(j*n) >= n;
+    the (pattern, keyword) pair then identifies every class."""
+
+    def test_two_classes_each_unique_in_one_modality_are_rejected(self):
+        # one class is unique by pattern, the other by keyword, and each
+        # leftover joins the other's group: both share one pattern and keyword
+        with pytest.raises(ConfigError, match="same pattern and keyword"):
+            generate(tiny_spec(n_classes=2))
+        assert generate(tiny_spec(n_classes=2, image_informativeness=1.0)) \
+            .self_check["bimodal_rule_accuracy"] == 1.0
+
+    def test_saved_spec_in_the_rejected_family_fails_to_load(self, tmp_path):
+        save_dataset(generate(tiny_spec(n_classes=2, image_informativeness=1.0)), tmp_path)
+        doc = json.loads((tmp_path / "dataset.json").read_text())
+        doc["spec"]["image_informativeness"] = 0.5
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetIOError, match="invalid spec.*same pattern and keyword"):
+            load_dataset(tmp_path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(2, 1000), image=st.floats(0, 1), text=st.floats(0, 1))
+    @example(n=2, image=0.5, text=0.5)
+    def test_every_valid_spec_keeps_its_certificate(self, n, image, text):
+        spec = SyntheticSpec(n_classes=n, vocab_size=n + 6, image_informativeness=image,
+                             text_informativeness=text)
+        assume(not spec.validate())
+        check = _unsampled(spec).self_check     # the self-check raises no DatasetError
+        assert check["image_unrecoverable_classes"] >= (1 - image) * n - 1e-9
+        assert check["text_unrecoverable_classes"] >= (1 - text) * n - 1e-9
+        if math.floor(image * n) + math.floor(text * n) >= n:
+            assert check["bimodal_rule_accuracy"] == 1.0
 
 
 class TestBatching:

@@ -24,7 +24,6 @@ from mmfusion.data import SyntheticSpec
 from mmfusion.decision import combined_loss, cross_entropy
 from mmfusion.encoders import EncoderConfig, TextBatch, patchify
 from mmfusion.fusion import TOPOLOGIES, _window_key_mask, dropout_channel
-from mmfusion.layers import LAYER_NORM_EPS
 from mmfusion.model import FusionSettings, MultimodalClassifier, RunConfig
 from mmfusion.tensor import Tensor, backward
 from test_encoders import masked_mean_composite
@@ -37,7 +36,7 @@ def dense(layer, x):
 
 
 def norm(layer, x):
-    return T.layer_norm(x, layer.gain, layer.bias, LAYER_NORM_EPS)
+    return T.layer_norm(x, layer.gain, layer.bias)
 
 
 def block_ref(block, x, key_mask=None):

@@ -108,6 +108,12 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="non-finite"):
             T.softmax(t64([np.inf, 1.0]), axis=0)
 
+    @pytest.mark.parametrize("shape, axis", [((2, 3), 0), ((2, 3), -2), ((2, 3), 2),
+                                             ((2, 3, 4), 1), ((), -1), ((), 0)])
+    def test_takes_the_last_axis_only(self, shape, axis):
+        with pytest.raises(T.ShapeError, match="not the last axis"):
+            T.softmax(t64(np.zeros(shape)), axis=axis)
+
 
 NON_FINITE = pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan],
                                      ids=["neg_inf", "pos_inf", "nan"])
@@ -137,7 +143,7 @@ class TestNonFiniteCount:
     @NON_FINITE
     def test_softmax_every_entry(self, bad):
         with pytest.raises(T.NonFiniteError, match=r"has 6 non-finite entries"):
-            T.softmax(t64(np.full((2, 3), bad)), axis=0)
+            T.softmax(t64(np.full((2, 3), bad)), axis=-1)
 
     @NON_FINITE_ATTENTION
     def test_attention_scores(self, bad):
