@@ -19,8 +19,8 @@ import numpy as np
 
 from .bench import FULL_SCALE_REFERENCE, bench_attention
 from .checkpoint import load_into, save_checkpoint
-from .data import (MIN_TEXT_WIDTH, DatasetError, DatasetIOError, SyntheticSpec, generate,
-                   load_dataset, save_dataset)
+from .data import (DatasetError, DatasetIOError, SyntheticSpec, generate, load_dataset,
+                   save_dataset)
 from .decision import VOTE_STRATEGIES
 from .fields import ConfigError, from_dict
 from .metrics import save_metrics
@@ -206,17 +206,24 @@ def cmd_gamma_sweep(args):
     return 0
 
 
-def cmd_bench_attention(args):
-    cfg, _ = load_run(args, generate_data=False)
+def _bench_problems(args, cfg):
+    """The problems of a bench-attention config. The bench times every fusion
+    path over the data's text width plus its patches with the text encoder's
+    heads, whatever the modality, so the config is checked as a multimodal
+    one: the fusion path's attention budget then applies."""
+    problems = replace(cfg, modality="multimodal").validate()
     if args.repeats < 10:
-        raise ConfigError([f"bench repeats must be >= 10, got {args.repeats}"])
-    data = cfg.data     # the widest text batch and the patch count, as the attention budget
+        problems.append(f"bench repeats must be >= 10, got {args.repeats}")
+    return problems
+
+
+def cmd_bench_attention(args):
+    cfg, _ = load_run(args, _bench_problems, generate_data=False)
     rows = bench_attention(
         d=cfg.text_encoder.d_model, n_heads=cfg.text_encoder.n_heads,
         ffn_width=cfg.text_encoder.ffn_width, batch=cfg.trainer.batch_size,
-        text_len=max(MIN_TEXT_WIDTH, data.sentence_len[1]),
-        image_len=(data.image_size // data.patch_size) ** 2, repeats=args.repeats,
-        seed=cfg.seed)
+        text_len=cfg.data.text_width, image_len=cfg.data.n_patches,
+        repeats=args.repeats, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bench.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["topology", "parameters",

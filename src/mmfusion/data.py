@@ -56,6 +56,16 @@ class SyntheticSpec:
     split_ratios: tuple[float, float, float] = bounded(
         (0.6, 0.1, 0.3), lo=0, hi=1, label="split_ratios entries")
 
+    @property
+    def text_width(self):
+        """The widest padded text batch this spec's sentences allow."""
+        return max(MIN_TEXT_WIDTH, self.sentence_len[1])
+
+    @property
+    def n_patches(self):
+        """The patches in one image."""
+        return (self.image_size // self.patch_size) ** 2
+
     def validate(self):
         problems = field_problems(self)
         if problems:

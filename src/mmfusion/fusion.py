@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import LayerNorm, Linear, TransformerBlock, trunc_normal
-# elastic_net_channel is re-exported: model.py builds the fusion channels from this module
+# re-exported: the acceptance gate, mmfusion/__init__ and notebook 03 import it from here
 from .tensor import Module, Tensor, elastic_net_channel, masked_mean  # noqa: F401
 
 

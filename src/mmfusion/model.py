@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MIN_TEXT_WIDTH, SyntheticSpec, make_image_batch, make_text_batch
+from .data import SyntheticSpec, make_image_batch, make_text_batch
 from .decision import (BRANCHES, VOTE_STRATEGIES, BranchClassifier, LossBreakdown,
                        VotingHead, combined_loss, cross_entropy)
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
@@ -91,7 +91,7 @@ class RunConfig:
             problems.append(f"encoder widths differ ({text.d_model} vs {image.d_model}); "
                             "fusion requires equal widths")
         if not (field_problems(text) or field_problems(data)):
-            width = max(MIN_TEXT_WIDTH, data.sentence_len[1])
+            width = data.text_width
             if self.modality != "image" and text.max_len < width:
                 problems.append(
                     f"text_encoder.max_len {text.max_len} is shorter than the widest "
@@ -102,7 +102,7 @@ class RunConfig:
             # [h, L, L] float32 probabilities must fit 1 GiB, for the longest
             # sequence L that each attention reads; a spec over its own
             # budgets is told of those alone
-            patches = (data.image_size // data.patch_size) ** 2
+            patches = data.n_patches
             attended = {"text": ("the text encoder", text.n_heads, width),
                         "image": ("the image encoder", image.n_heads, patches + 1),
                         "multimodal": ("the fusion path", text.n_heads, width + patches)}
@@ -121,7 +121,7 @@ class RunConfig:
         """Closed-form parameter count of the model built on ``data.vocab_size`` words."""
         text, image, data, fz = self.text_encoder, self.image_encoder, self.data, self.fusion
         d, n = text.d_model, data.n_classes
-        patches = (data.image_size // data.patch_size) ** 2
+        patches = data.n_patches
         sides = {   # each encoder and its embedding and input projection parameters
             "text": (text, (data.vocab_size + text.max_len + 1 + d) * text.embedding_dim + d),
             "image": (image, (data.patch_size ** 2 * data.channels + patches + 3)

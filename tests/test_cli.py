@@ -1046,6 +1046,22 @@ class TestBench:
         assert main(argv) == 0
         assert (seen["text_len"], seen["image_len"]) == (text_len, image_len)
 
+    @pytest.mark.parametrize("config, where", [
+        ({"modality": "text", "data": {"image_size": 256, "patch_size": 1}},
+         "the fusion path attends over 65544 positions"),
+        ({"modality": "image", "text_encoder": {"n_heads": 16, "d_model": 32},
+          "data": {"image_size": 96, "patch_size": 1}},
+         "the fusion path attends over 9224 positions"),
+    ])
+    def test_unimodal_config_over_the_fusion_budget_exits_2(self, tmp_path, capsys,
+                                                            monkeypatch, config, where):
+        monkeypatch.setattr(cli, "bench_attention", None)   # never reached
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["bench-attention", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 2
+        assert where in capsys.readouterr().err
+
     def test_too_few_repeats_rejected(self, tiny_config, tmp_path):
         assert main(["bench-attention", "--config", tiny_config,
                      "--out", str(tmp_path / "b"), "--repeats", "3"]) == 2
